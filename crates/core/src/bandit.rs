@@ -21,6 +21,14 @@
 //!
 //! A convenience [`BanditWare::run_round`] does recommend + record around a
 //! user-supplied executor closure (e.g. a cluster submission).
+//!
+//! Every context enters through this facade — recommend, batch recommend,
+//! ticket re-open, external record and replay — and each entry point
+//! rejects a NaN or infinite feature with
+//! [`crate::CoreError::NonFiniteFeature`] before the policy sees it. So no
+//! in-flight round and no absorbed observation ever holds one, whichever of
+//! the nine policies is behind the facade; one absorbed non-finite value
+//! would poison a tenant's estimates for good.
 
 use crate::frame::{FeatureFrame, ObservationFrame};
 use crate::policy::{ArmSpec, Policy, Selection};
@@ -122,6 +130,14 @@ pub struct InFlightRound {
     pub explored: bool,
 }
 
+/// Reject a context holding a NaN or infinite feature (see the module docs).
+fn check_finite(x: &[f64]) -> Result<()> {
+    match x.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(CoreError::NonFiniteFeature { index, value: x[index] }),
+        None => Ok(()),
+    }
+}
+
 /// The BanditWare recommender: policy + hardware metadata + history +
 /// in-flight ticket table.
 #[derive(Debug, Clone)]
@@ -130,7 +146,8 @@ pub struct BanditWare<P: Policy> {
     specs: Vec<ArmSpec>,
     history: Vec<Observation>,
     /// Rounds recorded but no longer retained in `history` (dropped by the
-    /// retention policy or elided by a stats-only restore). The absolute
+    /// retention policy, elided by a stats-only restore, or quarantined on
+    /// replay by [`BanditWare::quarantine_round`]). The absolute
     /// round counter is `base_rounds + history.len()`.
     base_rounds: usize,
     retention: Retention,
@@ -335,8 +352,10 @@ impl<P: Policy> BanditWare<P> {
     /// via [`BanditWare::record_ticket`].
     ///
     /// # Errors
-    /// Propagates policy validation (feature arity).
+    /// [`crate::CoreError::NonFiniteFeature`] for a NaN or infinite
+    /// feature; propagates policy validation (feature arity).
     pub fn recommend_ticketed(&mut self, features: &[f64]) -> Result<(Ticket, Recommendation)> {
+        check_finite(features)?;
         let sel = self.policy.select(features)?;
         let rec = self.recommendation_for(sel.arm, sel.explored, features);
         let ticket = self.issue_ticket(sel.arm, features.to_vec(), sel.explored);
@@ -376,11 +395,18 @@ impl<P: Policy> BanditWare<P> {
     /// API on the same contexts.
     ///
     /// # Errors
-    /// Propagates policy validation; on error no tickets are issued.
+    /// [`crate::CoreError::NonFiniteFeature`] when any row holds a NaN or
+    /// infinite feature (`index` names the feature); propagates policy
+    /// validation. On error no tickets are issued.
     pub fn recommend_batch_frame(
         &mut self,
         frame: &FeatureFrame,
     ) -> Result<Vec<(Ticket, Recommendation)>> {
+        for f in 0..frame.n_features() {
+            if let Some(&value) = frame.column(f).iter().find(|v| !v.is_finite()) {
+                return Err(CoreError::NonFiniteFeature { index: f, value });
+            }
+        }
         // Zero-alloc select path: selections land in a recommender-owned
         // scratch buffer. The per-round work below is ticket bookkeeping
         // only (the remembered features and the recommendation's display
@@ -542,16 +568,16 @@ impl<P: Policy> BanditWare<P> {
             // lint: allow(no-panic) -- all tickets validated before the take
             rounds.push(self.in_flight.remove(&ticket.0).expect("validated above"));
         }
-        let nf = self.policy.n_features();
-        let uniform = rounds.iter().all(|round| round.features.len() == nf);
-        let result = if uniform {
-            let mut obs = std::mem::take(&mut self.batch_obs);
+        // Stage the burst columnar; a round that cannot be staged (a
+        // remembered width that disagrees with the policy's) sends the whole
+        // batch down the row-by-row path below.
+        let mut obs = std::mem::take(&mut self.batch_obs);
+        obs.begin(outcomes.len(), self.policy.n_features());
+        let staged = rounds.iter().enumerate().all(|(i, round)| {
+            obs.set_row(i, round.arm, &round.features, outcomes[i].1, round.explored).is_ok()
+        });
+        let result = if staged {
             let mut absorbed = std::mem::take(&mut self.batch_absorbed);
-            obs.begin(outcomes.len(), nf);
-            for (i, round) in rounds.iter().enumerate() {
-                obs.set_row(i, round.arm, &round.features, outcomes[i].1, round.explored)
-                    .expect("uniform width checked above"); // lint: allow(no-panic) -- width pinned by begin()
-            }
             let result = self.policy.observe_frame(&obs, &mut absorbed);
             for (i, round) in rounds.drain(..).enumerate() {
                 let (ticket, runtime) = outcomes[i];
@@ -565,7 +591,6 @@ impl<P: Policy> BanditWare<P> {
                     self.in_flight.insert(ticket.0, round);
                 }
             }
-            self.batch_obs = obs;
             self.batch_absorbed = absorbed;
             result
         } else {
@@ -598,6 +623,7 @@ impl<P: Policy> BanditWare<P> {
                 None => Ok(()),
             }
         };
+        self.batch_obs = obs;
         self.batch_rounds = rounds;
         result
     }
@@ -619,8 +645,10 @@ impl<P: Policy> BanditWare<P> {
     ///
     /// # Errors
     /// [`crate::CoreError::ArmOutOfRange`] /
-    /// [`crate::CoreError::FeatureDimMismatch`] for inconsistent state, and
-    /// [`crate::CoreError::InvalidParameter`] for an id that is already open.
+    /// [`crate::CoreError::FeatureDimMismatch`] for inconsistent state,
+    /// [`crate::CoreError::NonFiniteFeature`] for a NaN or infinite feature,
+    /// and [`crate::CoreError::InvalidParameter`] for an id that is already
+    /// open.
     pub fn reopen_ticket(
         &mut self,
         ticket: Ticket,
@@ -628,6 +656,7 @@ impl<P: Policy> BanditWare<P> {
         features: &[f64],
         explored: bool,
     ) -> Result<()> {
+        check_finite(features)?;
         if arm >= self.specs.len() {
             return Err(CoreError::ArmOutOfRange { arm, n_arms: self.specs.len() });
         }
@@ -695,8 +724,10 @@ impl<P: Policy> BanditWare<P> {
     /// (the feature scaler) absorb the context they never selected on.
     ///
     /// # Errors
-    /// Propagates policy validation.
+    /// [`crate::CoreError::NonFiniteFeature`] for a NaN or infinite
+    /// feature; propagates policy validation.
     pub fn record_external(&mut self, arm: usize, features: &[f64], runtime: f64) -> Result<()> {
+        check_finite(features)?;
         self.policy.warm_start(arm, features, runtime)?;
         self.push_history(arm, features.to_vec(), runtime, false);
         Ok(())
@@ -708,11 +739,22 @@ impl<P: Policy> BanditWare<P> {
     /// into the retained history.
     ///
     /// # Errors
-    /// Propagates policy validation.
+    /// [`crate::CoreError::NonFiniteFeature`] for a NaN or infinite
+    /// feature (a log written before contexts were checked can hold one;
+    /// see [`BanditWare::quarantine_round`]); propagates policy validation.
     pub fn record_replayed(&mut self, o: &Observation) -> Result<()> {
+        check_finite(&o.features)?;
         self.policy.warm_start(o.arm, &o.features, o.runtime)?;
         self.push_history(o.arm, o.features.clone(), o.runtime, o.explored);
         Ok(())
+    }
+
+    /// Count one logged round that replay refuses to absorb (a non-finite
+    /// context written before contexts were checked): the round counter
+    /// advances, so it stays aligned with the log's sequence numbers, but
+    /// neither the policy nor the retained history sees the round.
+    pub fn quarantine_round(&mut self) {
+        self.base_rounds += 1;
     }
 
     /// One full round: recommend, execute via the closure, record. Returns
@@ -1090,6 +1132,59 @@ mod tests {
         let h = &bw.history()[0];
         assert_eq!((h.arm, h.explored), (1, true));
         assert_eq!(h.features, vec![9.0]);
+    }
+
+    #[test]
+    fn every_context_entry_point_rejects_non_finite_features() {
+        let mut bw = make();
+        let mut twin = make();
+        let round = |bw: &mut BanditWare<EpsilonGreedy>, i: usize| {
+            let x = [i as f64 % 7.0];
+            let (t, rec) = bw.recommend_ticketed(&x).unwrap();
+            bw.record_ticket(t, 10.0 + x[0] * (rec.arm as f64 + 1.0)).unwrap();
+            (rec.arm, rec.predicted_runtime.to_bits())
+        };
+        for i in 0..10 {
+            assert_eq!(round(&mut bw, i), round(&mut twin, i));
+        }
+        let is_non_finite = |r: Result<()>, bad: f64| match r {
+            Err(CoreError::NonFiniteFeature { index: 0, value }) => {
+                value.to_bits() == bad.to_bits()
+            }
+            _ => false,
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(is_non_finite(bw.recommend_ticketed(&[bad]).map(drop), bad));
+            assert!(is_non_finite(bw.recommend(&[bad]).map(drop), bad));
+            assert!(is_non_finite(bw.recommend_batch(&[vec![1.0], vec![bad]]).map(drop), bad));
+            assert!(is_non_finite(bw.reopen_ticket(Ticket::from_id(99), 0, &[bad], false), bad));
+            assert!(is_non_finite(bw.record_external(0, &[bad], 5.0), bad));
+            let o = Observation {
+                round: 0,
+                arm: 0,
+                features: vec![bad],
+                runtime: 5.0,
+                explored: false,
+            };
+            assert!(is_non_finite(bw.record_replayed(&o), bad));
+        }
+        // Nothing was issued, absorbed or drawn: the streams stay identical.
+        assert_eq!((bw.rounds(), bw.in_flight(), bw.next_ticket_id()), (10, 0, 10));
+        for i in 10..40 {
+            assert_eq!(round(&mut bw, i), round(&mut twin, i), "round {i}");
+        }
+    }
+
+    #[test]
+    fn quarantined_round_counts_but_is_not_absorbed() {
+        let mut bw = make();
+        bw.record_external(0, &[1.0], 5.0).unwrap();
+        bw.quarantine_round();
+        bw.record_external(1, &[2.0], 7.0).unwrap();
+        assert_eq!(bw.rounds(), 3);
+        assert_eq!(bw.pulls(), vec![1, 1]);
+        let rounds: Vec<usize> = bw.history().iter().map(|o| o.round).collect();
+        assert_eq!(rounds, vec![0, 2], "the quarantined round keeps its number");
     }
 
     #[test]

@@ -20,6 +20,15 @@ pub enum CoreError {
         /// Features expected.
         expected: usize,
     },
+    /// A context carrying a NaN or infinite feature. Rejected before any
+    /// model state is touched: one absorbed non-finite value would poison
+    /// the tenant's estimates for good.
+    NonFiniteFeature {
+        /// Index of the first offending feature.
+        index: usize,
+        /// Its value.
+        value: f64,
+    },
     /// A policy cannot be built without arms.
     NoArms,
     /// A configuration parameter is out of its valid range.
@@ -67,6 +76,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::FeatureDimMismatch { got, expected } => {
                 write!(f, "context has {got} features, policy expects {expected}")
+            }
+            CoreError::NonFiniteFeature { index, value } => {
+                write!(f, "feature {index} is non-finite ({value})")
             }
             CoreError::NoArms => write!(f, "policy requires at least one arm"),
             CoreError::InvalidParameter { name, detail } => {

@@ -138,8 +138,9 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> CoreError {
 ///
 /// # Errors
 /// [`CoreError::InvalidParameter`] when the recommender has dropped
-/// observations under a bounded [`crate::Retention`] policy: a v2 log of
-/// only the retained tail would silently replay into a different model.
+/// observations under a bounded [`crate::Retention`] policy (or
+/// quarantined a logged round, [`BanditWare::quarantine_round`]): a v2 log
+/// of only the retained tail would silently replay into a different model.
 /// Use [`save_checkpoint`] (v3) for retention-bounded recommenders —
 /// that is the format built for them. [`CoreError::Io`] on IO failures.
 pub fn save_history<P: Policy>(bandit: &BanditWare<P>, mut writer: impl Write) -> Result<()> {
@@ -147,7 +148,7 @@ pub fn save_history<P: Policy>(bandit: &BanditWare<P>, mut writer: impl Write) -
         return Err(CoreError::InvalidParameter {
             name: "history",
             detail: format!(
-                "{} of {} recorded rounds were dropped by the retention policy; a v2 log \
+                "{} of {} recorded rounds are not in the retained history; a v2 log \
                  would replay into a different model — use save_checkpoint (v3)",
                 bandit.rounds() - bandit.history().len(),
                 bandit.rounds()
@@ -332,7 +333,10 @@ pub fn replay_into<P: Policy>(
 /// re-open every in-flight ticket with its original id (so callers holding
 /// tickets across the crash can still `record_ticket` against them), and
 /// restore the ticket counter (so ids consumed before the crash are never
-/// reissued).
+/// reissued). An in-flight round with a non-finite context (saved before
+/// contexts were checked) is dropped, not re-opened: it holds no model
+/// state, and a late record of its ticket gets
+/// [`CoreError::UnknownTicket`].
 ///
 /// # Errors
 /// Propagates policy validation and ticket-reopen failures.
@@ -342,15 +346,23 @@ pub fn restore_snapshot<P: Policy>(
 ) -> Result<()> {
     replay_into(bandit, &snapshot.observations)?;
     for open in &snapshot.open_rounds {
-        bandit.reopen_ticket(
-            Ticket::from_id(open.ticket),
-            open.arm,
-            &open.features,
-            open.explored,
-        )?;
+        reopen_saved(bandit, open)?;
     }
     bandit.advance_ticket_counter(snapshot.next_ticket);
     Ok(())
+}
+
+/// Re-open one saved in-flight round. A round whose context is non-finite
+/// is dropped instead: it holds no model state, recording it would poison
+/// the model, and its ticket then answers a late record with
+/// [`CoreError::UnknownTicket`], like any ticket issued after the last
+/// checkpoint.
+fn reopen_saved<P: Policy>(bandit: &mut BanditWare<P>, open: &OpenRound) -> Result<()> {
+    let ticket = Ticket::from_id(open.ticket);
+    match bandit.reopen_ticket(ticket, open.arm, &open.features, open.explored) {
+        Err(CoreError::NonFiniteFeature { .. }) => Ok(()),
+        other => other,
+    }
 }
 
 fn write_obs_line(
@@ -544,8 +556,9 @@ fn parse_v3(text: &str) -> Result<StateSnapshot> {
 /// Restore a **fresh** recommender from a parsed checkpoint of any version:
 /// v1/v2 by replaying the log ([`restore_snapshot`] — O(n·m²)), v3 by
 /// installing the exact policy state (O(m²), independent of history
-/// length). Open tickets are re-opened with their original ids and the
-/// ticket counter resumes, in both cases.
+/// length). Open tickets are re-opened with their original ids (except
+/// those with a non-finite context, which are dropped as in
+/// [`restore_snapshot`]) and the ticket counter resumes, in both cases.
 ///
 /// The target should be freshly built with the same configuration the
 /// checkpointed recommender had; on error its state is unspecified.
@@ -562,12 +575,7 @@ pub fn restore_checkpoint<P: Policy>(
             bandit.policy_mut().restore(&state.policy)?;
             bandit.install_history(state.total_rounds, state.tail.clone());
             for open in &state.open_rounds {
-                bandit.reopen_ticket(
-                    Ticket::from_id(open.ticket),
-                    open.arm,
-                    &open.features,
-                    open.explored,
-                )?;
+                reopen_saved(bandit, open)?;
             }
             bandit.advance_ticket_counter(state.next_ticket);
             Ok(())
@@ -664,6 +672,43 @@ mod tests {
         // The ticket counter continues exactly where the original left off.
         let (t_new, _) = restored.recommend_ticketed(&[1.0, 1.0]).unwrap();
         assert_eq!(t_new.id(), original.next_ticket_id());
+    }
+
+    #[test]
+    fn non_finite_open_rounds_are_dropped_on_restore() {
+        // A checkpoint saved before contexts were checked can hold an open
+        // round with a NaN context. Restore drops that round (recording it
+        // would poison the model) and keeps everything else.
+        let mut original = trained_bandit(20);
+        let (t_bad, _) = original.recommend_ticketed(&[30.0, 2.0]).unwrap();
+        let (t_ok, _) = original.recommend_ticketed(&[8.0, 1.0]).unwrap();
+        let check = |restored: &mut BanditWare<EpsilonGreedy>| {
+            assert_eq!(restored.open_tickets(), vec![t_ok]);
+            assert!(matches!(
+                restored.record_ticket(t_bad, 5.0),
+                Err(CoreError::UnknownTicket { .. })
+            ));
+            let (t_new, _) = restored.recommend_ticketed(&[1.0, 1.0]).unwrap();
+            assert_eq!(t_new.id(), original.next_ticket_id(), "dropped ids are not reissued");
+        };
+
+        let mut v2 = Vec::new();
+        save_history(&original, &mut v2).unwrap();
+        let mut snapshot = load_snapshot(v2.as_slice()).unwrap();
+        snapshot.open_rounds[0].features[1] = f64::NAN;
+        let mut restored = fresh();
+        restore_snapshot(&mut restored, &snapshot).unwrap();
+        check(&mut restored);
+
+        let mut v3 = Vec::new();
+        save_checkpoint(&original, &mut v3).unwrap();
+        let Checkpoint::Stats(mut state) = load_checkpoint(v3.as_slice()).unwrap() else {
+            panic!("a v3 checkpoint loads as statistics");
+        };
+        state.open_rounds[0].features[0] = f64::INFINITY;
+        let mut restored = fresh();
+        restore_checkpoint(&mut restored, &Checkpoint::Stats(state)).unwrap();
+        check(&mut restored);
     }
 
     #[test]

@@ -84,8 +84,8 @@ impl Conn {
 
     /// Drain everything the kernel has buffered, parse out every complete
     /// frame, and hand each decoded inbound item to `sink` in stream order.
-    /// Damage policy matches the threaded server byte for byte: CRC failure
-    /// → typed `Malformed` reject, keep going; oversized header → typed
+    /// Damage policy (see [`crate::server`]): CRC failure → typed
+    /// `Malformed` reject, keep going; oversized header → typed
     /// `Oversized` reject and [`Conn::closing`] (no trustworthy next
     /// boundary); torn frame at EOF → whatever was complete still serves.
     pub fn read_ready(&mut self, chunk: &mut [u8], mut sink: impl FnMut(Inbound)) -> ReadOutcome {

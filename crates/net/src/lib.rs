@@ -1,23 +1,25 @@
 //! Network serving front-end for the BanditWare engine: a framed TCP
-//! protocol, a thread-per-connection server, and a blocking client.
+//! protocol, an epoll reactor server, and a blocking client.
 //!
-//! ROADMAP item 1: the paper's recommend→observe loop becomes reachable by
-//! out-of-process clients. The design goal is that the wire adds framing,
-//! not semantics — a client driving `recommend`/`record` over TCP sees a
+//! The paper's recommend→observe loop, reachable by out-of-process
+//! clients. The design goal is that the wire adds framing, not
+//! semantics — a client driving `recommend`/`record` over TCP sees a
 //! **bitwise-identical** recommendation stream to calling the in-process
 //! [`banditware_serve::Engine`] with the same seed and schedule, because
 //! floats travel as raw IEEE-754 bits and the server feeds coalesced bursts
-//! to the same `recommend_batch`/`record_batch` entry points the in-process
-//! path uses.
+//! to the engine's columnar `recommend_batch_frame`/`record_batch_frame`
+//! entry points, which are pinned bitwise equal to sequential single
+//! rounds.
 //!
 //! ```text
-//!  client                    server (thread-per-conn or epoll reactor)
+//!  clients                   server (pool of epoll reactor loops)
 //!  ───────                   ─────────────────────────────────────────
-//!  [len|payload|crc] ───────▶ accumulate → parse frames
-//!  [len|payload|crc] ───────▶ coalesce per (key, op) within the window
-//!                             (the reactor coalesces ACROSS connections)
-//!                             └─▶ Engine::recommend_batch / record_batch
-//!  ◀─────── [len|payload|crc] one write for the whole batch,
+//!  [len|payload|crc] ───────▶ read every ready connection, parse frames
+//!  [len|payload|crc] ───────▶ coalesce per (key, op) ACROSS connections
+//!                             within the window
+//!                             └─▶ Engine::recommend_batch_frame /
+//!                                 record_batch_frame
+//!  ◀─────── [len|payload|crc] one write per connection per wake,
 //!                             responses matched by request ID
 //! ```
 //!
@@ -25,8 +27,8 @@
 //!   with the serve crate's WAL).
 //! * [`protocol`] — opcodes, request/response bodies, bounds-checked
 //!   decoding.
-//! * [`server`] — [`NetServer`]: acceptor + the shared batching core, in
-//!   either [`ServerMode`] (thread-per-connection or epoll reactor).
+//! * [`server`] — [`NetServer`]: the acceptor, which deals connections to
+//!   the reactor loops, and the batching core every loop wake runs.
 //! * [`client`] — [`NetClient`]: sync calls and explicit pipelining.
 //!
 //! `std::net` only — consistent with the workspace's zero-registry-deps
@@ -47,4 +49,4 @@ pub(crate) mod sys_epoll;
 pub use client::{NetClient, RemoteRecommendation};
 pub use error::{ErrorCode, NetError, NetResult};
 pub use protocol::{Request, Response};
-pub use server::{NetServer, ServerConfig, ServerMode};
+pub use server::{NetServer, ServerConfig};

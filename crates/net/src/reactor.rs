@@ -1,4 +1,4 @@
-//! The epoll event-loop serving mode ([`crate::ServerMode::Reactor`]).
+//! The epoll event loops that serve every [`crate::NetServer`] connection.
 //!
 //! A small fixed pool of reactor threads (default `min(cores, 4)`) owns
 //! every connection between them; the blocking acceptor hands accepted
@@ -14,15 +14,15 @@
 //!             ─▶ route responses back by slot, flush, re-arm interest
 //! ```
 //!
-//! The cross-connection coalescing is the structural win over
-//! thread-per-connection: 256 clients each sending one request per round
-//! trip used to mean 256 single-row engine calls; one reactor wake now
-//! turns them into a handful of columnar bursts, so batch efficiency
-//! *grows* with concurrency. Readiness is level-triggered; a connection
-//! whose peer stops reading responses is paused (see [`crate::conn`]) so
-//! slow consumers never stall the loop, and idle connections — including
-//! deliberately slow-loris ones dribbling single bytes — cost nothing
-//! between their own readiness events.
+//! Cross-connection coalescing is the point of the design: 256 clients
+//! each sending one request per round trip would otherwise mean 256
+//! single-row engine calls; one reactor wake turns them into a handful of
+//! columnar bursts, so batch efficiency *grows* with concurrency.
+//! Readiness is level-triggered; a connection whose peer stops reading
+//! responses is paused (see [`crate::conn`]) so slow consumers never stall
+//! the loop, and idle connections — including deliberately slow-loris
+//! ones dribbling single bytes — cost nothing between their own readiness
+//! events.
 
 use crate::conn::{Conn, ReadOutcome, TX_CAP, TX_RESUME};
 use crate::server::{execute_batch, BatchScratch, Inbound, POLL};
@@ -144,8 +144,7 @@ fn run(
         };
         if shutdown.load(Ordering::Acquire) {
             // Dropping the connections closes their sockets; in-flight
-            // requests are abandoned exactly as the threaded mode abandons
-            // them at shutdown.
+            // requests are abandoned.
             return;
         }
 

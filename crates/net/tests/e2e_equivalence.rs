@@ -5,9 +5,7 @@
 //! the sync path and the pipelined path.
 
 use banditware_core::{ArmSpec, BanditConfig};
-use banditware_net::{
-    ErrorCode, NetClient, NetError, NetServer, Response, ServerConfig, ServerMode,
-};
+use banditware_net::{ErrorCode, NetClient, NetError, NetServer, Response, ServerConfig};
 use banditware_serve::{Engine, EngineBuilder};
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,18 +107,8 @@ fn tcp_stream_bitwise_identical_to_in_process() {
 }
 
 #[test]
-fn tcp_stream_bitwise_identical_to_in_process_reactor() {
-    assert_streams_identical(ServerConfig::default().with_mode(ServerMode::Reactor), 120, 0);
-}
-
-#[test]
 fn tcp_stream_bitwise_identical_with_pipelined_bursts() {
     assert_streams_identical(ServerConfig::default(), 120, 3);
-}
-
-#[test]
-fn tcp_stream_bitwise_identical_with_pipelined_bursts_reactor() {
-    assert_streams_identical(ServerConfig::default().with_mode(ServerMode::Reactor), 120, 3);
 }
 
 #[test]
@@ -132,14 +120,6 @@ fn tcp_stream_bitwise_identical_with_accumulation_window() {
 }
 
 #[test]
-fn tcp_stream_bitwise_identical_with_accumulation_window_reactor() {
-    let config = ServerConfig::default()
-        .with_mode(ServerMode::Reactor)
-        .with_batch_window(Duration::from_millis(2));
-    assert_streams_identical(config, 60, 4);
-}
-
-#[test]
 fn reactor_cross_connection_coalescing_is_bitwise_equivalent() {
     // Several connections on distinct tenant keys, all funneled through
     // one reactor thread: requests arriving in the same wake coalesce
@@ -147,7 +127,7 @@ fn reactor_cross_connection_coalescing_is_bitwise_equivalent() {
     // sequential in-process reference bit for bit.
     let reference = engine();
     let served = engine();
-    let config = ServerConfig::default().with_mode(ServerMode::Reactor).with_reactor_threads(1);
+    let config = ServerConfig::default().with_reactor_threads(1);
     let mut server = NetServer::bind(served, "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
@@ -194,48 +174,44 @@ fn reactor_cross_connection_coalescing_is_bitwise_equivalent() {
 
 #[test]
 fn connection_ceiling_rejects_with_busy_and_keeps_serving() {
-    for mode in [ServerMode::ThreadPerConn, ServerMode::Reactor] {
-        let config = ServerConfig::default().with_mode(mode).with_max_connections(2);
-        let mut server = NetServer::bind(engine(), "127.0.0.1:0", config).expect("bind");
-        let addr = server.local_addr();
+    let config = ServerConfig::default().with_max_connections(2);
+    let mut server = NetServer::bind(engine(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
 
-        let mut a = NetClient::connect(addr).expect("connect a");
-        let mut b = NetClient::connect(addr).expect("connect b");
-        a.ping().expect("a serves");
-        b.ping().expect("b serves");
+    let mut a = NetClient::connect(addr).expect("connect a");
+    let mut b = NetClient::connect(addr).expect("connect b");
+    a.ping().expect("a serves");
+    b.ping().expect("b serves");
 
-        // The third connection is accepted only to be told why it can't
-        // stay: a typed Busy frame, then a graceful close.
-        let mut c = NetClient::connect(addr).expect("tcp connect still succeeds");
-        match c.ping() {
-            Err(NetError::Remote { code, .. }) => {
-                assert_eq!(code, ErrorCode::Busy, "mode {mode:?}")
-            }
-            other => panic!("expected busy reject in mode {mode:?}, got {other:?}"),
-        }
-
-        // Established connections are unaffected by the reject.
-        let rec = a.recommend("wf-a", &context(0)).expect("a still serves");
-        a.record("wf-a", rec.ticket, 5.0).expect("a records");
-        b.ping().expect("b still serves");
-
-        // A freed seat is reusable.
-        drop(a);
-        let mut d = loop {
-            // The server retires the dropped connection asynchronously;
-            // retry until the seat frees up.
-            let mut d = NetClient::connect(addr).expect("connect d");
-            match d.ping() {
-                Ok(()) => break d,
-                Err(NetError::Remote { code: ErrorCode::Busy, .. }) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => panic!("unexpected error reclaiming seat: {e}"),
-            }
-        };
-        d.ping().expect("d serves on the freed seat");
-        server.shutdown();
+    // The third connection is accepted only to be told why it can't stay:
+    // a typed Busy frame, then a graceful close.
+    let mut c = NetClient::connect(addr).expect("tcp connect still succeeds");
+    match c.ping() {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Busy),
+        other => panic!("expected busy reject, got {other:?}"),
     }
+
+    // Established connections are unaffected by the reject.
+    let rec = a.recommend("wf-a", &context(0)).expect("a still serves");
+    a.record("wf-a", rec.ticket, 5.0).expect("a records");
+    b.ping().expect("b still serves");
+
+    // A freed seat is reusable.
+    drop(a);
+    let mut d = loop {
+        // The server retires the dropped connection asynchronously; retry
+        // until the seat frees up.
+        let mut d = NetClient::connect(addr).expect("connect d");
+        match d.ping() {
+            Ok(()) => break d,
+            Err(NetError::Remote { code: ErrorCode::Busy, .. }) => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("unexpected error reclaiming seat: {e}"),
+        }
+    };
+    d.ping().expect("d serves on the freed seat");
+    server.shutdown();
 }
 
 #[test]
@@ -308,5 +284,101 @@ fn typed_error_then_connection_still_usable() {
     let rec = client.recommend("wf-a", &context(0)).expect("recommend after errors");
     client.record("wf-a", rec.ticket, 5.0).expect("record after errors");
     client.ping().expect("ping after errors");
+    server.shutdown();
+}
+
+#[test]
+fn non_finite_features_get_a_typed_error_and_leave_the_tenant_untouched() {
+    // LinUCB: one absorbed NaN context would wreck its per-arm estimates
+    // for good. ucb1 and plain ε-greedy ignore contexts when selecting, but
+    // a ticket issued for a NaN context would carry it into the record path
+    // and the log. For all three a rejected request must change nothing.
+    for policy in ["linucb", "ucb1", "plain-epsilon-greedy"] {
+        assert_non_finite_refused(policy);
+    }
+}
+
+fn assert_non_finite_refused(policy: &str) {
+    let build = || {
+        Arc::new(
+            EngineBuilder::new(ArmSpec::unit_costs(3), 2)
+                .policy(policy)
+                .config(BanditConfig::paper().with_seed(SEED))
+                .build()
+                .expect("engine builds"),
+        )
+    };
+    // The twin never sees the non-finite requests.
+    let reference = build();
+    let mut server =
+        NetServer::bind(build(), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+
+    let round = |client: &mut NetClient, i: usize| {
+        let remote = client.recommend("wf-a", &context(i)).expect("recommend");
+        let (lt, lr) = reference.recommend("wf-a", &context(i)).expect("local");
+        assert_eq!(remote.ticket, lt.id(), "{policy}: ticket, round {i}");
+        assert_eq!(remote.arm, lr.arm, "{policy}: arm, round {i}");
+        assert_eq!(
+            remote.predicted_runtime.to_bits(),
+            lr.predicted_runtime.to_bits(),
+            "{policy}: predicted bits, round {i}"
+        );
+        client.record("wf-a", remote.ticket, runtime(i, lr.arm)).expect("remote record");
+        reference.record("wf-a", lt, runtime(i, lr.arm)).expect("local record");
+    };
+    for i in 0..40 {
+        round(&mut client, i);
+    }
+
+    // Sync requests: each gets its own typed engine error.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        match client.recommend("wf-a", &[1.0, bad]) {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::Engine);
+                assert!(message.contains("non-finite"), "{policy}: message: {message}");
+            }
+            other => panic!("{policy}: expected a remote engine error for {bad}, got {other:?}"),
+        }
+    }
+    // A pipelined burst with a NaN row in the middle: the columnar burst
+    // is refused whole, and the per-request fallback serves the finite
+    // neighbours exactly as sequential rounds.
+    let ids = [
+        client.send_recommend("wf-a", &context(40)),
+        client.send_recommend("wf-a", &[f64::NAN, 1.0]),
+        client.send_recommend("wf-a", &context(41)),
+    ];
+    client.flush().expect("flush");
+    match client.wait(ids[1]) {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Engine),
+        other => panic!("{policy}: expected an engine error for the NaN row, got {other:?}"),
+    }
+    // Same schedule in-process: both recommends first, records after.
+    let local = [40, 41].map(|i| reference.recommend("wf-a", &context(i)).expect("local"));
+    for (i, id, (lt, lr)) in [(40, ids[0], &local[0]), (41, ids[2], &local[1])] {
+        let resp = client.wait(id).expect("burst reply");
+        let Response::Recommend { ticket, arm, predicted_runtime, .. } = resp else {
+            panic!("expected a recommendation, got {resp:?}");
+        };
+        assert_eq!(ticket, lt.id(), "{policy}: ticket, round {i}");
+        assert_eq!(arm as usize, lr.arm, "{policy}: arm, round {i}");
+        assert_eq!(
+            predicted_runtime.to_bits(),
+            lr.predicted_runtime.to_bits(),
+            "{policy}: round {i}"
+        );
+        client.record("wf-a", ticket, runtime(i, lr.arm)).expect("remote record");
+        reference.record("wf-a", *lt, runtime(i, lr.arm)).expect("local record");
+    }
+
+    // The tenant's later stream and its serialized state match the twin.
+    for i in 42..240 {
+        round(&mut client, i);
+    }
+    let over_wire = client.checkpoint("wf-a").expect("checkpoint");
+    let mut local = Vec::new();
+    reference.save_shard_checkpoint("wf-a", &mut local).expect("local checkpoint");
+    assert_eq!(over_wire, local, "{policy}: checkpoint bytes identical to the twin");
     server.shutdown();
 }

@@ -1,11 +1,10 @@
 //! Protocol robustness: randomized damage against a **live** server must
 //! never crash it, and a connection that just had a frame rejected must
-//! still serve valid traffic — in **both** serving modes.
+//! still serve valid traffic.
 //!
-//! One server per mode (shared across every proptest case) backs all
-//! connections; if any damage sequence killed a handler thread (or wedged
-//! a reactor loop) or panicked the process, every subsequent case would
-//! fail loudly. Damage kinds:
+//! One server (shared across every proptest case) backs all connections;
+//! if any damage sequence wedged a reactor loop or panicked the process,
+//! every subsequent case would fail loudly. Damage kinds:
 //!
 //! * bit-flip inside a frame's payload or CRC trailer (recoverable: typed
 //!   Malformed error, connection continues),
@@ -16,15 +15,15 @@
 //! * valid frames interleaved across several writes with pauses (must
 //!   simply work),
 //! * slow-loris dribble: many connections feeding one byte per write must
-//!   not stall other clients' round-trips (reactor-specific test below —
-//!   a single event loop owns every connection there).
+//!   not stall other clients' round-trips (separate test below, on a
+//!   single event loop that owns every connection).
 
 use banditware_core::{ArmSpec, BanditConfig};
 use banditware_net::frame::{encode_frame, read_frame, MAX_PAYLOAD};
 use banditware_net::protocol::{
     decode_response, encode_request, Request, Response, UNKNOWN_REQUEST_ID,
 };
-use banditware_net::{ErrorCode, NetError, NetServer, ServerConfig, ServerMode};
+use banditware_net::{ErrorCode, NetError, NetServer, ServerConfig};
 use banditware_serve::EngineBuilder;
 use proptest::prelude::*;
 use std::io::Write;
@@ -47,19 +46,14 @@ fn start_server(config: ServerConfig) -> SocketAddr {
     addr
 }
 
-/// The shared live server for `mode` (one per mode, started lazily).
-fn server_addr(mode: ServerMode) -> SocketAddr {
-    static THREAD: OnceLock<SocketAddr> = OnceLock::new();
-    static REACTOR: OnceLock<SocketAddr> = OnceLock::new();
-    match mode {
-        ServerMode::ThreadPerConn => *THREAD.get_or_init(|| start_server(ServerConfig::default())),
-        ServerMode::Reactor => *REACTOR
-            .get_or_init(|| start_server(ServerConfig::default().with_mode(ServerMode::Reactor))),
-    }
+/// The shared live server (started lazily).
+fn server_addr() -> SocketAddr {
+    static SERVER: OnceLock<SocketAddr> = OnceLock::new();
+    *SERVER.get_or_init(|| start_server(ServerConfig::default()))
 }
 
-fn connect(mode: ServerMode) -> TcpStream {
-    let stream = TcpStream::connect(server_addr(mode)).expect("connect");
+fn connect() -> TcpStream {
+    let stream = TcpStream::connect(server_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     // A hung read is a deadlocked test; fail it instead.
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
@@ -109,12 +103,7 @@ fn damage_strategy() -> impl Strategy<Value = Damage> {
         })
 }
 
-fn apply(
-    mode: ServerMode,
-    stream: &mut TcpStream,
-    next_id: &mut u64,
-    damage: &Damage,
-) -> Result<(), TestCaseError> {
+fn apply(stream: &mut TcpStream, next_id: &mut u64, damage: &Damage) -> Result<(), TestCaseError> {
     match damage {
         Damage::BitFlip { features, pos, bit } => {
             let id = *next_id;
@@ -177,7 +166,7 @@ fn apply(
         Damage::TornFrame { features, keep } => {
             // A peer that hangs up mid-frame: its own connection dies
             // quietly; nobody else notices.
-            let mut victim = connect(mode);
+            let mut victim = connect();
             let wire = request_frame(
                 7,
                 &Request::Recommend { key: "wf".into(), features: vec![features.0, features.1] },
@@ -196,7 +185,7 @@ fn apply(
             }
         }
         Damage::OversizedHeader { extra } => {
-            let mut victim = connect(mode);
+            let mut victim = connect();
             let mut wire = Vec::new();
             wire.extend_from_slice(&(MAX_PAYLOAD as u32 + 1 + extra).to_le_bytes());
             wire.extend_from_slice(b"whatever follows is unsynchronizable");
@@ -245,11 +234,11 @@ fn assert_live(stream: &mut TcpStream, next_id: &mut u64) -> Result<(), TestCase
     Ok(())
 }
 
-fn run_damage_case(mode: ServerMode, ops: &[Damage]) -> Result<(), TestCaseError> {
-    let mut stream = connect(mode);
+fn run_damage_case(ops: &[Damage]) -> Result<(), TestCaseError> {
+    let mut stream = connect();
     let mut next_id = 1u64;
     for op in ops {
-        apply(mode, &mut stream, &mut next_id, op)?;
+        apply(&mut stream, &mut next_id, op)?;
         // After every damage step the same connection (for recoverable
         // damage) keeps serving valid traffic.
         assert_live(&mut stream, &mut next_id)?;
@@ -261,31 +250,23 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn damaged_streams_never_crash_a_live_server(
-        ops in prop::collection::vec(damage_strategy(), 1..6),
-    ) {
-        run_damage_case(ServerMode::ThreadPerConn, &ops)?;
-    }
-
-    #[test]
     fn damaged_streams_never_crash_a_live_reactor(
         ops in prop::collection::vec(damage_strategy(), 1..6),
     ) {
-        run_damage_case(ServerMode::Reactor, &ops)?;
+        run_damage_case(&ops)?;
     }
 }
 
 /// Clean EOF while a batch window is still accumulating: the reactor must
 /// hold the connection open until the window expires and serve every
 /// request that was complete before the EOF (the documented clean-EOF
-/// contract, same as thread-per-conn), and it must NOT free the slot early
+/// contract), and it must NOT free the slot early
 /// — a connection adopted into a prematurely freed slot would receive the
 /// EOF'd client's responses (cross-client misdelivery).
 #[test]
 fn eof_during_open_batch_window_still_serves_and_never_misroutes() {
     let addr = start_server(
         ServerConfig::default()
-            .with_mode(ServerMode::Reactor)
             .with_reactor_threads(1)
             .with_batch_window(Duration::from_millis(300)),
     );
@@ -337,9 +318,7 @@ fn eof_during_open_batch_window_still_serves_and_never_misroutes() {
 /// fresh server so loris connections cannot leak into the shared ones.
 #[test]
 fn slow_loris_connections_do_not_stall_other_clients() {
-    let addr = start_server(
-        ServerConfig::default().with_mode(ServerMode::Reactor).with_reactor_threads(1),
-    );
+    let addr = start_server(ServerConfig::default().with_reactor_threads(1));
 
     const LORIS: usize = 40;
     let frame =

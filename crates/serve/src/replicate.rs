@@ -351,6 +351,9 @@ pub struct CatchUpReport {
     pub replayed: usize,
     /// Records skipped because the applied state already covered them.
     pub skipped: usize,
+    /// Records counted but not absorbed because their context is
+    /// non-finite (see [`RecoveryReport::quarantined_records`]).
+    pub quarantined_records: usize,
     /// Files quarantined (renamed to `<name>.quarantined`, never applied):
     /// `(path, reason)`.
     pub quarantined: Vec<(String, String)>,
@@ -558,6 +561,7 @@ impl FollowerEngine {
         }
         report.replayed += stats.replayed;
         report.skipped += stats.skipped;
+        report.quarantined_records += stats.quarantined_records;
         state.watermark = self.engine.with_shard(key, |shard| shard.rounds()).unwrap_or(0);
         Ok(true)
     }

@@ -61,6 +61,11 @@
 //! (reported via [`RecoveryReport::torn_tail`]) instead of failing
 //! recovery; such a record was never acknowledged in one flushed piece.
 //!
+//! A well-formed record whose context is non-finite (logged before the
+//! recommender checked contexts) is quarantined, not fatal: its round is
+//! counted so later sequence numbers still line up, but it is not absorbed
+//! (reported via [`RecoveryReport::quarantined_records`]).
+//!
 //! Recommendations are not logged at all: tickets issued after the last
 //! snapshot die with the process (their runtimes arrive as
 //! [`banditware_core::CoreError::UnknownTicket`] and the caller resubmits),
@@ -137,6 +142,10 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// WAL lines skipped because the snapshot already covered them.
     pub skipped: usize,
+    /// WAL records counted but not absorbed because their context is
+    /// non-finite (logged before contexts were checked; see
+    /// [`banditware_core::BanditWare::quarantine_round`]).
+    pub quarantined_records: usize,
     /// Whether a torn final line (crash mid-append) was discarded.
     pub torn_tail: bool,
     /// Per-key applied sequence watermark after recovery: the number of
@@ -852,30 +861,50 @@ impl KeyWal {
 pub(crate) struct ReplayStats {
     pub replayed: usize,
     pub skipped: usize,
+    pub quarantined_records: usize,
     pub torn_tail: bool,
 }
 
 /// Apply one parsed record to a key's shard, deduping on the absolute
-/// sequence number (`true` = applied, `false` = already covered).
-pub(crate) fn apply_record(engine: &Engine, key: &str, record: &WalRecord) -> ServeResult<bool> {
-    let applied = engine.with_shard_mut(key, |shard| -> banditware_core::Result<bool> {
+/// sequence number, and count the outcome in `stats`.
+///
+/// A record whose context is non-finite (the engine logged such contexts
+/// before it checked them) is quarantined: its round is counted, so later
+/// sequence numbers still line up, but it is not absorbed. Failing recovery
+/// on it instead would keep every key from opening.
+pub(crate) fn apply_record(
+    engine: &Engine,
+    key: &str,
+    record: &WalRecord,
+    stats: &mut ReplayStats,
+) -> ServeResult<()> {
+    engine.with_shard_mut(key, |shard| -> banditware_core::Result<()> {
         if record.seq < shard.rounds() {
             // Covered by the snapshot (crash between snapshot install and
             // segment deletion) or by an earlier segment replay.
-            return Ok(false);
+            stats.skipped += 1;
+            return Ok(());
         }
         let ticket = Ticket::from_id(record.ticket);
-        if shard.in_flight_round(ticket).is_some() {
+        let applied = if shard.in_flight_round(ticket).is_some() {
             // The round was open when the snapshot was taken: record it
             // through the live path, closing the ticket exactly as the
             // pre-crash engine did.
-            shard.record_ticket(ticket, record.obs.runtime)?;
+            shard.record_ticket(ticket, record.obs.runtime)
         } else {
-            shard.record_replayed(&record.obs)?;
+            shard.record_replayed(&record.obs)
+        };
+        match applied {
+            Ok(()) => stats.replayed += 1,
+            Err(CoreError::NonFiniteFeature { .. }) => {
+                shard.quarantine_round();
+                stats.quarantined_records += 1;
+            }
+            Err(e) => return Err(e),
         }
-        Ok(true)
+        Ok(())
     })??;
-    Ok(applied)
+    Ok(())
 }
 
 /// Replay one segment file into `key`'s shard, verifying the header and
@@ -910,12 +939,7 @@ pub(crate) fn replay_segment(
     let mut apply = |line_no: usize, line: &str| -> ServeResult<()> {
         let record =
             parse_wal_line(line, with_crc).map_err(|detail| corrupt(line_no + 1, detail))?;
-        if apply_record(engine, key, &record)? {
-            stats.replayed += 1;
-        } else {
-            stats.skipped += 1;
-        }
-        Ok(())
+        apply_record(engine, key, &record, stats)
     };
     let mut pending: Option<(usize, String)> = None;
     for (line_no, line) in lines {
@@ -927,13 +951,7 @@ pub(crate) fn replay_segment(
     }
     if let Some((line_no, last)) = pending {
         match parse_wal_line(&last, with_crc) {
-            Ok(record) => {
-                if apply_record(engine, key, &record)? {
-                    stats.replayed += 1;
-                } else {
-                    stats.skipped += 1;
-                }
-            }
+            Ok(record) => apply_record(engine, key, &record, stats)?,
             Err(_) if tolerate_torn_tail => stats.torn_tail = true,
             Err(detail) => return Err(corrupt(line_no + 1, detail)),
         }
@@ -1046,6 +1064,7 @@ impl DurableEngine {
             let (stats, snapshot_loaded) = recover_key_dir(&this.engine, &key, &dir, true)?;
             report.replayed += stats.replayed;
             report.skipped += stats.skipped;
+            report.quarantined_records += stats.quarantined_records;
             report.torn_tail |= stats.torn_tail;
             report.snapshots_loaded += usize::from(snapshot_loaded);
             let watermark = this.engine.with_shard(&key, |shard| shard.rounds()).unwrap_or(0);

@@ -7,7 +7,7 @@
 //! recommenders that keep emitting identical recommendations.
 
 use banditware_core::persist;
-use banditware_core::{ArmSpec, BanditConfig, BanditWare, Observation, Policy, Ticket};
+use banditware_core::{ArmSpec, BanditConfig, BanditWare, CoreError, Observation, Policy, Ticket};
 use banditware_serve::builder::build_policy;
 use banditware_serve::stress::{draw_context, true_runtime};
 use banditware_serve::{run_stress, Engine, StressPlan};
@@ -191,5 +191,51 @@ fn replayed_shards_recommend_identically() {
             a.record(100.0 + i as f64).unwrap();
             b.record(100.0 + i as f64).unwrap();
         }
+    }
+}
+
+#[test]
+fn every_policy_refuses_non_finite_contexts_without_a_trace() {
+    // Context-free policies (ucb1, plain ε-greedy) ignore the context when
+    // selecting, yet must refuse it too: a ticket issued for it would carry
+    // the non-finite value into the record path and the log.
+    for &name in banditware_serve::policy_names() {
+        let build = || {
+            Engine::builder(specs(), 2)
+                .policy(name)
+                .config(BanditConfig::paper().with_seed(SEED))
+                .build()
+                .unwrap()
+        };
+        let (served, twin) = (build(), build());
+        let step = |i: usize| {
+            let x = [(i % 7) as f64 + 1.0, (i % 3) as f64];
+            let mut out = Vec::new();
+            for e in [&served, &twin] {
+                let (t, rec) = e.recommend("k", &x).unwrap();
+                e.record("k", t, 5.0 + rec.arm as f64 * x[0]).unwrap();
+                out.push((t.id(), rec.arm, rec.predicted_runtime.to_bits()));
+            }
+            assert_eq!(out[0], out[1], "{name}, round {i}");
+        };
+        for i in 0..30 {
+            step(i);
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = served.recommend("k", &[1.0, bad]).unwrap_err();
+            assert!(matches!(err, CoreError::NonFiniteFeature { index: 1, .. }), "{name}: {err}");
+            let err = served.recommend_batch("k", &[vec![1.0, 2.0], vec![bad, 2.0]]).unwrap_err();
+            assert!(matches!(err, CoreError::NonFiniteFeature { index: 0, .. }), "{name}: {err}");
+        }
+        assert!(served.open_tickets("k").is_empty(), "{name}: no ticket issued");
+        for i in 30..60 {
+            step(i);
+        }
+        let log = |e: &Engine| {
+            let mut bytes = Vec::new();
+            e.save_shard("k", &mut bytes).unwrap();
+            bytes
+        };
+        assert_eq!(log(&served), log(&twin), "{name}: history identical to the twin");
     }
 }

@@ -4,6 +4,7 @@
 //! and a torn final line.
 
 use banditware_core::{ArmSpec, BanditConfig, Retention, Ticket};
+use banditware_serve::crc::crc32;
 use banditware_serve::{DurableEngine, Engine, EngineBuilder, ServeError, WalOptions};
 use std::path::PathBuf;
 
@@ -315,6 +316,67 @@ fn bit_flip_in_a_float_field_is_a_precise_checksum_error() {
         other => panic!("expected ServeError::Corrupt, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_finite_record_is_quarantined_not_fatal() {
+    // A log written before contexts were checked can hold a record with a
+    // NaN context. Recovery counts that round but does not absorb it, so
+    // the key (and every other key) still opens, and the model matches a
+    // log that never held the record.
+    let dir = tmp_dir("nan-record");
+    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    for i in 0..12 {
+        let (t, rec) = engine.recommend("k", &context(i)).unwrap();
+        engine.record("k", t, 5.0 + rec.arm as f64 * context(i)[0]).unwrap();
+    }
+    drop(engine);
+
+    // Line 6 of the segment is record i=4 (line 1 is the header). Replace
+    // its first feature with NaN under a valid checksum.
+    let seg = dir.join("kk").join("wal-1.log");
+    let text = std::fs::read_to_string(&seg).unwrap();
+    let line = text.lines().nth(5).unwrap();
+    let (body, _) = line.rsplit_once(",c").unwrap();
+    let mut fields: Vec<&str> = body.split(',').collect();
+    fields[6] = "NaN";
+    let body = fields.join(",");
+    let poisoned = format!("{body},c{:08x}", crc32(body.as_bytes()));
+    std::fs::write(&seg, text.replacen(line, &poisoned, 1)).unwrap();
+    // The twin's log never held the record.
+    let twin_dir = tmp_dir("nan-record-twin");
+    std::fs::create_dir_all(twin_dir.join("kk")).unwrap();
+    std::fs::write(
+        twin_dir.join("kk").join("wal-1.log"),
+        text.replacen(&format!("{line}\n"), "", 1),
+    )
+    .unwrap();
+
+    let (engine, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (twin, twin_report) = DurableEngine::open(builder(), WalOptions::new(&twin_dir)).unwrap();
+    assert_eq!((report.replayed, report.quarantined_records), (11, 1));
+    assert_eq!((twin_report.replayed, twin_report.quarantined_records), (11, 0));
+    assert_eq!(probe_predictions(engine.engine(), "k"), probe_predictions(twin.engine(), "k"));
+    // The quarantined round still counts, so new records continue the
+    // log's numbering.
+    assert_eq!(report.watermarks, vec![("k".to_string(), 12)]);
+    let kept: Vec<usize> = engine.engine().history("k").unwrap().iter().map(|o| o.round).collect();
+    assert_eq!(kept, (0..12).filter(|&r| r != 4).collect::<Vec<_>>());
+
+    // Live appends, a compaction and another crash keep the state.
+    for i in 12..20 {
+        let (t, rec) = engine.recommend("k", &context(i)).unwrap();
+        engine.record("k", t, 5.0 + rec.arm as f64 * context(i)[0]).unwrap();
+    }
+    engine.compact("k").unwrap();
+    let before = probe_predictions(engine.engine(), "k");
+    drop(engine);
+    let (revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    assert_eq!((report.snapshots_loaded, report.quarantined_records), (1, 0));
+    assert_eq!(report.watermarks, vec![("k".to_string(), 20)]);
+    assert_eq!(probe_predictions(revived.engine(), "k"), before);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&twin_dir);
 }
 
 #[test]

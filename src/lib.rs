@@ -90,7 +90,7 @@ pub mod prelude {
     };
     pub use banditware_eval::protocol::{run_experiment, specs_from_hardware, ExperimentConfig};
     pub use banditware_eval::{MatchedSet, RoundSeries};
-    pub use banditware_net::{NetClient, NetError, NetServer, ServerConfig, ServerMode};
+    pub use banditware_net::{NetClient, NetError, NetServer, ServerConfig};
     pub use banditware_serve::{
         build_policy, policy_names, Durability, DurableEngine, Engine, FollowerEngine, FsTransport,
         Replicator, ServeError, StressPlan, WalOptions,
