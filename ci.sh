@@ -64,10 +64,11 @@ cargo bench -p banditware-bench --bench bench_serve
 # history length), the PR-5 gate (follower staleness after a no-seal ship
 # stays under 2x the records-per-segment at every rotation size), the
 # PR-6 gate (the TCP front-end sustains >= 50k rounds/sec at 8 loopback
-# connections), the PR-7 gates (a same-run from-scratch refit at m=65 costs
+# connections), the PR-7 gate (a same-run from-scratch refit at m=65 costs
 # >= 8x a rank-one record at m=64 — the O(m^3)-vs-O(m^2) gap the updatable
-# factorization exists for — and the columnar engine round no slower than
-# the row round), the PR-8 gates (the frame record path never slower
+# factorization exists for; the PR-7 "columnar round no slower than the row
+# round" gate is retired with the row batch API it compared against), the
+# PR-8 gates (the frame record path never slower
 # than the per-ticket row path at batch 64, plus the same >= 8x
 # refit-over-record ratio), and the PR-9 gates (fan-out throughput at 256
 # connections is at least that at 8 — the reactor's event loop keeps it

@@ -4,7 +4,7 @@
 //! path: one lock acquisition + one policy pass per batch must beat N of
 //! each, and the gap should grow with the batch size.
 
-use banditware_core::{ArmSpec, BanditConfig, Ticket};
+use banditware_core::{ArmSpec, BanditConfig, FeatureFrame, Ticket};
 use banditware_serve::Engine;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -43,13 +43,13 @@ fn batched_rounds(e: &Engine, key: &str, batch: usize, rng: &mut StdRng) {
     while remaining > 0 {
         let n = batch.min(remaining);
         let xs = contexts(n, rng);
-        let issued = e.recommend_batch(key, &xs).unwrap();
+        let issued = e.recommend_batch_frame(key, &FeatureFrame::from_rows(&xs).unwrap()).unwrap();
         let outcomes: Vec<(Ticket, f64)> = issued
             .iter()
             .zip(&xs)
             .map(|((t, rec), x)| (*t, (rec.arm + 1) as f64 * x[0] + 1.0))
             .collect();
-        e.record_batch(key, &outcomes).unwrap();
+        e.record_batch_frame(key, &outcomes).unwrap();
         remaining -= n;
     }
 }
@@ -99,10 +99,11 @@ fn bench_multi_tenant_fanout(c: &mut Criterion) {
             |(e, mut rng)| {
                 for key in &keys {
                     let xs = contexts(32, &mut rng);
-                    let issued = e.recommend_batch(key, &xs).unwrap();
+                    let frame = FeatureFrame::from_rows(&xs).unwrap();
+                    let issued = e.recommend_batch_frame(key, &frame).unwrap();
                     let outcomes: Vec<(Ticket, f64)> =
                         issued.iter().map(|(t, r)| (*t, (r.arm + 1) as f64 * 10.0)).collect();
-                    e.record_batch(key, &outcomes).unwrap();
+                    e.record_batch_frame(key, &outcomes).unwrap();
                 }
             },
         )

@@ -21,14 +21,15 @@
 //! synchronous round latency, with the PR-6 acceptance gate: ≥ 50k
 //! sustained rounds/sec at 8 connections. `BENCH_PR7.json` adds the
 //! SIMD-width kernel group: `dot_m64` / `cholupdate_m64` micro-benches over
-//! the 4-lane block kernels, plus the columnar-vs-row engine round
-//! (`recommend_batch_frame` over a staged `FeatureFrame` against the
-//! row-slice `recommend_batch`), with two PR-7 acceptance gates —
-//! incremental `record_m64` at least 8× cheaper than a from-scratch
-//! m=65 refactor measured in the same run (the O(m³)→O(m²) claim,
-//! host-insensitive by construction), and the columnar round no slower
-//! than the row round. `BENCH_PR8.json` adds the columnar *record* group:
-//! the rank-64 Gram fold (`NormalEquations::push_block`) against 64
+//! the 4-lane block kernels, with the PR-7 acceptance gate — incremental
+//! `record_m64` at least 8× cheaper than a from-scratch m=65 refactor
+//! measured in the same run (the O(m³)→O(m²) claim, host-insensitive by
+//! construction). The PR-7 columnar-vs-row engine round and its "no
+//! slower than the row round" gate are retired: the frame is the only
+//! batch layout, so the row round they compared against no longer exists
+//! (the `engine_round_b64` trajectory cell times the frame round with the
+//! row-to-frame transpose inside). `BENCH_PR8.json` adds the columnar
+//! *record* group: the rank-64 Gram fold (`NormalEquations::push_block`) against 64
 //! sequential pushes, the refactor cost a fold-then-refactor variant
 //! would pay instead of the per-row cholupdates, and the record-isolating
 //! engine round — per-ticket `record` loop vs one `record_batch_frame`
@@ -149,28 +150,32 @@ fn bench_select(m: usize) -> f64 {
     })
 }
 
-/// One batched engine round (recommend_batch + record_batch, batch 64),
-/// reported per request.
+/// One batched engine round from row-major contexts (transpose into a
+/// reused [`FeatureFrame`] + `recommend_batch_frame` + `record_batch_frame`,
+/// batch 64), reported per request. The transpose sits inside the timed
+/// closure: the cell measures the work a row-holding caller pays per
+/// burst, which keeps it comparable with the trajectory's earlier
+/// `engine_round_b64` numbers.
 fn bench_engine_round(batch: usize) -> f64 {
     let engine = Engine::builder(ArmSpec::unit_costs(4), 8)
         .config(BanditConfig::paper().with_epsilon0(0.1).with_seed(5))
         .build()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(33);
+    let mut frame = FeatureFrame::new();
+    let mut round = move |contexts: &[Vec<f64>]| {
+        frame.fill_from_rows(contexts).unwrap();
+        let issued = engine.recommend_batch_frame("tenant", &frame).unwrap();
+        let outcomes: Vec<(Ticket, f64)> =
+            issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
+        engine.record_batch_frame("tenant", &outcomes).unwrap();
+    };
     for _ in 0..20 {
         let contexts: Vec<Vec<f64>> = (0..batch).map(|_| context(8, &mut rng)).collect();
-        let issued = engine.recommend_batch("tenant", &contexts).unwrap();
-        let outcomes: Vec<(Ticket, f64)> =
-            issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        engine.record_batch("tenant", &outcomes).unwrap();
+        round(&contexts);
     }
     let contexts: Vec<Vec<f64>> = (0..batch).map(|_| context(8, &mut rng)).collect();
-    median_ns_per_op(15, 30, move || {
-        let issued = engine.recommend_batch("tenant", &contexts).unwrap();
-        let outcomes: Vec<(Ticket, f64)> =
-            issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        engine.record_batch("tenant", &outcomes).unwrap();
-    }) / batch as f64
+    median_ns_per_op(15, 30, move || round(&contexts)) / batch as f64
 }
 
 /// The innermost predict kernel: one `m`-length dot product.
@@ -197,36 +202,8 @@ fn bench_cholupdate(m: usize) -> f64 {
     })
 }
 
-/// The columnar twin of [`bench_engine_round`]: identical work per round,
-/// but the burst is staged once in a [`FeatureFrame`] and recommended via
-/// `recommend_batch_frame` (struct-of-arrays predict, batched scaler pass).
-fn bench_engine_round_frame(batch: usize) -> f64 {
-    let engine = Engine::builder(ArmSpec::unit_costs(4), 8)
-        .config(BanditConfig::paper().with_epsilon0(0.1).with_seed(5))
-        .build()
-        .unwrap();
-    let mut rng = StdRng::seed_from_u64(33);
-    let mut frame = FeatureFrame::new();
-    for _ in 0..20 {
-        let contexts: Vec<Vec<f64>> = (0..batch).map(|_| context(8, &mut rng)).collect();
-        frame.fill_from_rows(&contexts).unwrap();
-        let issued = engine.recommend_batch_frame("tenant", &frame).unwrap();
-        let outcomes: Vec<(Ticket, f64)> =
-            issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        engine.record_batch("tenant", &outcomes).unwrap();
-    }
-    let contexts: Vec<Vec<f64>> = (0..batch).map(|_| context(8, &mut rng)).collect();
-    frame.fill_from_rows(&contexts).unwrap();
-    median_ns_per_op(15, 30, move || {
-        let issued = engine.recommend_batch_frame("tenant", &frame).unwrap();
-        let outcomes: Vec<(Ticket, f64)> =
-            issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        engine.record_batch("tenant", &outcomes).unwrap();
-    }) / batch as f64
-}
-
-/// The record-side twin pair of [`bench_engine_round_frame`]: identical
-/// burst selection (frame recommend on both variants), so the delta
+/// The record-side twin pair of [`bench_engine_round`]: identical burst
+/// selection (frame recommend on both variants), so the delta
 /// isolates the record path — a per-ticket `record` loop (one stripe-lock
 /// acquisition and one row observe per outcome, the pre-PR-8 per-request
 /// path) vs one `record_batch_frame` grouped columnar absorption.
@@ -495,7 +472,7 @@ struct NetServePoint {
 /// Full recommend→record rounds through the TCP front-end on loopback with
 /// `connections` concurrent clients, each its own tenant key. Two phases
 /// per connection: pipelined bursts of 64 (the server coalesces each burst
-/// into one `recommend_batch` / `record_batch`) timed for sustained
+/// into one `recommend_batch_frame` / `record_batch_frame`) timed for sustained
 /// throughput, then synchronous rounds timed individually for the latency
 /// percentiles.
 fn bench_net_serving(connections: usize) -> NetServePoint {
@@ -893,7 +870,7 @@ fn main() {
     // steady-state cost. (The PR-4/5/6 gates are within-run ratios and
     // don't need this.)
     let best_of_3 = |first: f64, bench: &dyn Fn() -> f64| first.min(bench()).min(bench());
-    // Same-run ratio gates ("frame no slower than rows") are measured as
+    // Same-run ratio gates ("frame record no slower than rows") are measured as
     // back-to-back (denominator, numerator) pairs, keeping the attempt
     // with the lowest ratio. Taking independent minima per side instead
     // lets one unusually clean denominator window inflate the ratio past
@@ -916,7 +893,7 @@ fn main() {
         };
 
     // --- PR 7: the SIMD-width kernel group — blocked dot / cholupdate
-    // micro-benches plus the columnar-vs-row engine round. ---
+    // micro-benches. ---
     if run_pr(7) {
         let dot_m64 = bench_dot(64);
         let cholupdate_m64 = bench_cholupdate(64);
@@ -924,8 +901,6 @@ fn main() {
             best_of_3(current.iter().find(|(k, _)| *k == "record_m64").expect("key").1, &|| {
                 bench_record(64)
             });
-        let (engine_round_frame_b64, engine_round_rows_b64, frame_over_rows) =
-            paired_ratio(5, &|| bench_engine_round_frame(64), &|| bench_engine_round(64));
         let refit_m65 = best_of_3(bench_refactor(65), &|| bench_refactor(65));
         let record_speedup = PR3_RECORD_M64 / record_m64;
         let refit_over_record = refit_m65 / record_m64;
@@ -937,10 +912,7 @@ fn main() {
          \"refit_m65\": {refit_m65:.1},\n  \
          \"refit_over_record\": {refit_over_record:.2},\n  \
          \"record_m64_pr3_committed\": {PR3_RECORD_M64:.1},\n  \
-         \"record_m64_speedup_vs_pr3\": {record_speedup:.2},\n  \
-         \"engine_round_b64_rows\": {engine_round_rows_b64:.1},\n  \
-         \"engine_round_b64_frame\": {engine_round_frame_b64:.1},\n  \
-         \"frame_over_rows\": {frame_over_rows:.2}\n}}\n",
+         \"record_m64_speedup_vs_pr3\": {record_speedup:.2}\n}}\n",
     );
         std::fs::write(&out_path_pr7, &json).expect("write bench json");
         println!("{json}");
@@ -950,14 +922,6 @@ fn main() {
             "PR-7 acceptance: an incremental record at m=64 ({record_m64:.1} ns) must be at \
          least {REFIT_OVER_RECORD_MIN}x cheaper than a from-scratch m=65 refactor \
          ({refit_m65:.1} ns) in the same run, got {refit_over_record:.2}x"
-        );
-        // "No slower" with a 5% noise allowance: the columnar round must never
-        // regress the row round; on this hardware it is measurably faster.
-        assert!(
-            frame_over_rows <= 1.05,
-            "PR-7 acceptance: the columnar engine round must be no slower than the row round, \
-         got {engine_round_frame_b64:.1} ns vs {engine_round_rows_b64:.1} ns \
-         ({frame_over_rows:.2}x)"
         );
     }
 

@@ -8,10 +8,13 @@
 //!   is attributed later via [`BanditWare::record_ticket`]. Arbitrarily many
 //!   rounds may be in flight at once, tickets may be recorded **out of
 //!   order**, and a round that never completes can be abandoned with
-//!   [`BanditWare::drop_ticket`]. [`BanditWare::recommend_batch`] selects a
-//!   whole burst in one policy pass (for [`crate::ScaledPolicy`], one
-//!   scaler pass); [`BanditWare::record_batch`] validates the burst
-//!   atomically and absorbs it round by round.
+//!   [`BanditWare::drop_ticket`]. [`BanditWare::recommend_batch_frame`]
+//!   selects a whole columnar burst ([`FeatureFrame`]) in one policy pass
+//!   (for [`crate::ScaledPolicy`], one scaler pass);
+//!   [`BanditWare::record_batch_frame`] validates a burst of outcomes
+//!   atomically and absorbs it in one columnar policy pass. Callers that
+//!   hold row-major contexts build the frame with
+//!   [`FeatureFrame::from_rows`] / [`FeatureFrame::fill_from_rows`].
 //! * **Legacy single-slot**: [`BanditWare::recommend`] +
 //!   [`BanditWare::record`] keep the original strictly-alternating protocol.
 //!   They are a shim over the ticket table; calling `recommend` twice
@@ -156,14 +159,14 @@ pub struct BanditWare<P: Policy> {
     in_flight: BTreeMap<u64, InFlightRound>,
     next_ticket: u64,
     legacy_pending: Option<Ticket>,
-    /// Scratch: batched selections ([`BanditWare::recommend_batch`] reuses
-    /// this across bursts so the batched select path allocates nothing in
-    /// steady state).
+    /// Scratch: batched selections ([`BanditWare::recommend_batch_frame`]
+    /// reuses this across bursts so the batched select path allocates
+    /// nothing in steady state).
     batch_sels: Vec<Selection>,
-    /// Scratch: the columnar frame the row-slice shim
-    /// ([`BanditWare::recommend_batch`]) builds once per burst, reused
-    /// across bursts.
-    batch_frame: FeatureFrame,
+    /// Scratch: the one-row gather buffer a policy's frame select/observe
+    /// uses when it has no columnar kernel (see
+    /// [`Policy::select_frame_into`]), reused across bursts.
+    batch_row: Vec<f64>,
     /// Scratch: sorted ticket ids for duplicate detection in
     /// [`BanditWare::validate_record_batch`] (replaces a per-call
     /// `HashSet`, so batch validation allocates nothing in steady state).
@@ -196,7 +199,7 @@ impl<P: Policy> BanditWare<P> {
             next_ticket: 0,
             legacy_pending: None,
             batch_sels: Vec::new(),
-            batch_frame: FeatureFrame::new(),
+            batch_row: Vec::new(),
             batch_ids: Vec::new(),
             batch_rounds: Vec::new(),
             batch_obs: ObservationFrame::new(),
@@ -362,37 +365,14 @@ impl<P: Policy> BanditWare<P> {
         Ok((ticket, rec))
     }
 
-    /// Recommend hardware for a whole batch of workflows in one policy pass
-    /// (selections are made against the same model state; for
-    /// [`crate::ScaledPolicy`] the scaler runs once for the batch). Returns
-    /// one `(ticket, recommendation)` per context, in input order.
-    ///
-    /// # Errors
-    /// Propagates policy validation; on error no tickets are issued.
-    pub fn recommend_batch(
-        &mut self,
-        contexts: &[Vec<f64>],
-    ) -> Result<Vec<(Ticket, Recommendation)>> {
-        // Row-slice shim over the columnar path: transpose the burst once
-        // into the recommender-owned scratch frame (reused across bursts),
-        // then run the frame pipeline — bitwise identical by the
-        // [`crate::frame`] contract.
-        if contexts.is_empty() {
-            self.batch_sels.clear();
-            return Ok(Vec::new());
-        }
-        self.batch_frame.fill_from_rows(contexts)?;
-        let frame = std::mem::take(&mut self.batch_frame);
-        let out = self.recommend_batch_frame(&frame);
-        self.batch_frame = frame;
-        out
-    }
-
-    /// [`BanditWare::recommend_batch`] over an already-columnar batch
-    /// ([`FeatureFrame`]): one policy frame pass, then per-row ticket
-    /// bookkeeping. This is the layout the serving front-end builds once
-    /// per coalesced burst; results are bitwise identical to the row-slice
-    /// API on the same contexts.
+    /// Recommend hardware for a whole batch of workflows, one per row of a
+    /// columnar [`FeatureFrame`]: one policy frame pass (selections are
+    /// made against the same model state; for [`crate::ScaledPolicy`] the
+    /// scaler runs once for the batch), then per-row ticket bookkeeping.
+    /// Returns one `(ticket, recommendation)` per row, in row order. This
+    /// is the layout the serving front-end builds once per coalesced
+    /// burst; row-major callers transpose once with
+    /// [`FeatureFrame::from_rows`].
     ///
     /// # Errors
     /// [`crate::CoreError::NonFiniteFeature`] when any row holds a NaN or
@@ -411,8 +391,8 @@ impl<P: Policy> BanditWare<P> {
         // scratch buffer. The per-round work below is ticket bookkeeping
         // only (the remembered features and the recommendation's display
         // name are the two owned values the API hands out).
-        let BanditWare { policy, batch_sels, .. } = self;
-        policy.select_frame_into(frame, batch_sels)?;
+        let BanditWare { policy, batch_sels, batch_row, .. } = self;
+        policy.select_frame_into(frame, batch_sels, batch_row)?;
         let mut out = Vec::with_capacity(self.batch_sels.len());
         for i in 0..self.batch_sels.len() {
             let sel = self.batch_sels[i];
@@ -447,30 +427,6 @@ impl<P: Policy> BanditWare<P> {
         }
         self.push_history(round.arm, round.features, runtime, round.explored);
         Ok(())
-    }
-
-    /// Record a batch of `(ticket, runtime)` pairs. Request validation is
-    /// atomic: every ticket must be open (and unique within the batch) and
-    /// every runtime positive and finite **before** anything is absorbed,
-    /// so a malformed call leaves the recommender untouched.
-    ///
-    /// This is a shim over [`BanditWare::record_batch_frame`] (results are
-    /// bitwise identical): the burst is staged into a columnar
-    /// [`ObservationFrame`] and absorbed in one policy frame pass. Every
-    /// round the policy absorbs is consumed (ticket closed, history
-    /// appended); any round it does not — a numerical refit failure, not a
-    /// request error — **stays open** for retry or
-    /// [`BanditWare::drop_ticket`]. Retrying the open remainder can never
-    /// double-count an observation: a consumed ticket in the retry surfaces
-    /// as [`crate::CoreError::UnknownTicket`].
-    ///
-    /// # Errors
-    /// [`crate::CoreError::UnknownTicket`] for a ticket not in flight,
-    /// [`crate::CoreError::InvalidParameter`] for a ticket listed twice in
-    /// the batch, [`crate::CoreError::InvalidRuntime`] for a non-positive
-    /// or non-finite runtime; policy validation otherwise.
-    pub fn record_batch(&mut self, outcomes: &[(Ticket, f64)]) -> Result<()> {
-        self.record_batch_frame(outcomes)
     }
 
     /// Atomic request validation for a record batch: every ticket open,
@@ -509,19 +465,25 @@ impl<P: Policy> BanditWare<P> {
         Ok(())
     }
 
-    /// Record a batch of outcomes through the **columnar** observe path:
-    /// after atomic validation ([`BanditWare::validate_record_batch`]) the
-    /// burst is closed out of the ticket table, staged into a reused
-    /// [`ObservationFrame`], and handed to the policy as one
-    /// [`Policy::observe_frame`] pass — for the contextual ε-greedy family
-    /// that means per-arm grouped rank-k absorption instead of one refit
-    /// per row, bitwise identical to recording the rounds one at a time in
-    /// input order.
+    /// Record a batch of `(ticket, runtime)` pairs through the
+    /// **columnar** observe path. Request validation is atomic
+    /// ([`BanditWare::validate_record_batch`]): every ticket must be open
+    /// (and unique within the batch) and every runtime positive and finite
+    /// **before** anything is absorbed, so a malformed call leaves the
+    /// recommender untouched. The burst is then closed out of the ticket
+    /// table, staged into a reused [`ObservationFrame`], and handed to the
+    /// policy as one [`Policy::observe_frame`] pass — for the contextual
+    /// ε-greedy family that means per-arm grouped rank-k absorption instead
+    /// of one refit per row, bitwise identical to recording the rounds one
+    /// at a time in input order.
     ///
     /// Rounds the policy absorbs are consumed (history appended, legacy
     /// slot cleared); rounds it does not absorb — a mid-batch numerical
-    /// failure — are **re-opened** under their original ticket ids so the
-    /// caller can retry or drop them. With a policy that absorbs rows in
+    /// failure, not a request error — are **re-opened** under their
+    /// original ticket ids so the caller can retry or drop them. Retrying
+    /// the open remainder can never double-count an observation: a
+    /// consumed ticket in the retry surfaces as
+    /// [`crate::CoreError::UnknownTicket`]. With a policy that absorbs rows in
     /// input order the open remainder is exactly the failing round and its
     /// successors; a grouped-absorption policy may absorb a non-prefix
     /// subset (rows of arms it finished before the failing arm), which only
@@ -534,7 +496,10 @@ impl<P: Policy> BanditWare<P> {
     /// semantics.
     ///
     /// # Errors
-    /// As [`BanditWare::record_batch`].
+    /// [`crate::CoreError::UnknownTicket`] for a ticket not in flight,
+    /// [`crate::CoreError::InvalidParameter`] for a ticket listed twice in
+    /// the batch, [`crate::CoreError::InvalidRuntime`] for a non-positive
+    /// or non-finite runtime; policy validation otherwise.
     pub fn record_batch_frame(&mut self, outcomes: &[(Ticket, f64)]) -> Result<()> {
         self.record_batch_frame_logged(outcomes, |_, _, _, _| {})
     }
@@ -548,7 +513,7 @@ impl<P: Policy> BanditWare<P> {
     /// closed rounds.
     ///
     /// # Errors
-    /// As [`BanditWare::record_batch`].
+    /// As [`BanditWare::record_batch_frame`].
     pub fn record_batch_frame_logged(
         &mut self,
         outcomes: &[(Ticket, f64)],
@@ -578,7 +543,7 @@ impl<P: Policy> BanditWare<P> {
         });
         let result = if staged {
             let mut absorbed = std::mem::take(&mut self.batch_absorbed);
-            let result = self.policy.observe_frame(&obs, &mut absorbed);
+            let result = self.policy.observe_frame(&obs, &mut absorbed, &mut self.batch_row);
             for (i, round) in rounds.drain(..).enumerate() {
                 let (ticket, runtime) = outcomes[i];
                 if absorbed[i] {
@@ -814,6 +779,10 @@ mod tests {
     use crate::epsilon::EpsilonGreedy;
     use crate::CoreError;
 
+    fn frame(rows: &[Vec<f64>]) -> FeatureFrame {
+        FeatureFrame::from_rows(rows).unwrap()
+    }
+
     fn make() -> BanditWare<EpsilonGreedy> {
         let specs = vec![ArmSpec::new(0, "H0", 4.0), ArmSpec::new(1, "H1", 6.0)];
         let policy =
@@ -933,7 +902,7 @@ mod tests {
     fn batch_recommend_then_batch_record() {
         let mut bw = make();
         let contexts: Vec<Vec<f64>> = (1..=5).map(|i| vec![i as f64]).collect();
-        let issued = bw.recommend_batch(&contexts).unwrap();
+        let issued = bw.recommend_batch_frame(&frame(&contexts)).unwrap();
         assert_eq!(issued.len(), 5);
         assert_eq!(bw.in_flight(), 5);
         // Ticket ids are unique and ascending in input order.
@@ -942,7 +911,7 @@ mod tests {
         }
         let outcomes: Vec<(Ticket, f64)> =
             issued.iter().map(|(t, r)| (*t, 10.0 * (r.arm + 1) as f64)).collect();
-        bw.record_batch(&outcomes).unwrap();
+        bw.record_batch_frame(&outcomes).unwrap();
         assert_eq!(bw.rounds(), 5);
         assert_eq!(bw.in_flight(), 0);
         assert_eq!(bw.pulls().iter().sum::<usize>(), 5);
@@ -951,29 +920,29 @@ mod tests {
     #[test]
     fn batch_record_validates_atomically() {
         let mut bw = make();
-        let issued = bw.recommend_batch(&[vec![1.0], vec![2.0]]).unwrap();
+        let issued = bw.recommend_batch_frame(&frame(&[vec![1.0], vec![2.0]])).unwrap();
         let (t0, t1) = (issued[0].0, issued[1].0);
         // Unknown ticket in the batch → nothing absorbed.
-        let err = bw.record_batch(&[(t0, 5.0), (Ticket::from_id(77), 5.0)]).unwrap_err();
+        let err = bw.record_batch_frame(&[(t0, 5.0), (Ticket::from_id(77), 5.0)]).unwrap_err();
         assert!(matches!(err, CoreError::UnknownTicket { ticket: 77 }));
         assert_eq!(bw.rounds(), 0);
         assert_eq!(bw.in_flight(), 2);
         // Duplicate ticket within a batch → rejected up front, named as a
         // duplicate (not as an unknown ticket — it IS in flight).
         assert!(matches!(
-            bw.record_batch(&[(t0, 5.0), (t0, 6.0)]),
+            bw.record_batch_frame(&[(t0, 5.0), (t0, 6.0)]),
             Err(CoreError::InvalidParameter { name: "outcomes", .. })
         ));
         assert_eq!(bw.rounds(), 0);
         // Invalid runtime anywhere → nothing absorbed.
         assert!(matches!(
-            bw.record_batch(&[(t0, 5.0), (t1, f64::NAN)]),
+            bw.record_batch_frame(&[(t0, 5.0), (t1, f64::NAN)]),
             Err(CoreError::InvalidRuntime(_))
         ));
         assert_eq!(bw.rounds(), 0);
         assert_eq!(bw.pulls(), vec![0, 0]);
         // A clean batch then succeeds.
-        bw.record_batch(&[(t1, 7.0), (t0, 5.0)]).unwrap();
+        bw.record_batch_frame(&[(t1, 7.0), (t0, 5.0)]).unwrap();
         assert_eq!(bw.rounds(), 2);
         assert_eq!(bw.history()[0].features, vec![2.0], "record order preserved");
     }
@@ -1021,10 +990,10 @@ mod tests {
         }
 
         let mut bw = BanditWare::new(Brittle { observed: 0 }, ArmSpec::unit_costs(2));
-        let issued = bw.recommend_batch(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
+        let issued = bw.recommend_batch_frame(&frame(&[vec![1.0], vec![2.0], vec![3.0]])).unwrap();
         let (t0, t1, t2) = (issued[0].0, issued[1].0, issued[2].0);
         // Outcome for t1 fails inside the policy; t0 was already absorbed.
-        let err = bw.record_batch(&[(t0, 5.0), (t1, 5000.0), (t2, 7.0)]).unwrap_err();
+        let err = bw.record_batch_frame(&[(t0, 5.0), (t1, 5000.0), (t2, 7.0)]).unwrap_err();
         assert!(matches!(err, CoreError::Linalg(_)));
         // The recorded prefix is consumed and in the history; the failing
         // round and its successors stay open for retry.
@@ -1034,12 +1003,12 @@ mod tests {
         // Retrying the full batch cannot double-count: the consumed ticket
         // is rejected up front, leaving the model untouched.
         assert!(matches!(
-            bw.record_batch(&[(t0, 5.0), (t1, 6.0), (t2, 7.0)]),
+            bw.record_batch_frame(&[(t0, 5.0), (t1, 6.0), (t2, 7.0)]),
             Err(CoreError::UnknownTicket { .. })
         ));
         assert_eq!(bw.rounds(), 1);
         // Retrying only the open remainder succeeds.
-        bw.record_batch(&[(t1, 6.0), (t2, 7.0)]).unwrap();
+        bw.record_batch_frame(&[(t1, 6.0), (t2, 7.0)]).unwrap();
         assert_eq!(bw.rounds(), 3);
         assert_eq!(bw.in_flight(), 0);
     }
@@ -1156,7 +1125,10 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(is_non_finite(bw.recommend_ticketed(&[bad]).map(drop), bad));
             assert!(is_non_finite(bw.recommend(&[bad]).map(drop), bad));
-            assert!(is_non_finite(bw.recommend_batch(&[vec![1.0], vec![bad]]).map(drop), bad));
+            assert!(is_non_finite(
+                bw.recommend_batch_frame(&frame(&[vec![1.0], vec![bad]])).map(drop),
+                bad
+            ));
             assert!(is_non_finite(bw.reopen_ticket(Ticket::from_id(99), 0, &[bad], false), bad));
             assert!(is_non_finite(bw.record_external(0, &[bad], 5.0), bad));
             let o = Observation {
@@ -1194,9 +1166,9 @@ mod tests {
             EpsilonGreedy::new(specs.clone(), 1, BanditConfig::paper().with_seed(3)).unwrap(),
         );
         let mut bw: BanditWare<Box<dyn Policy>> = BanditWare::new(policy, specs);
-        let issued = bw.recommend_batch(&[vec![1.0], vec![2.0]]).unwrap();
+        let issued = bw.recommend_batch_frame(&frame(&[vec![1.0], vec![2.0]])).unwrap();
         let outcomes: Vec<(Ticket, f64)> = issued.iter().map(|(t, _)| (*t, 5.0)).collect();
-        bw.record_batch(&outcomes).unwrap();
+        bw.record_batch_frame(&outcomes).unwrap();
         assert_eq!(bw.rounds(), 2);
         assert_eq!(bw.policy().name(), "decaying-contextual-epsilon-greedy");
     }

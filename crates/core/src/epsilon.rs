@@ -216,10 +216,15 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         Ok(Selection { arm, explored: false })
     }
 
-    fn select_frame_into(&mut self, frame: &FeatureFrame, out: &mut Vec<Selection>) -> Result<()> {
+    fn select_frame_into(
+        &mut self,
+        frame: &FeatureFrame,
+        out: &mut Vec<Selection>,
+        row: &mut Vec<f64>,
+    ) -> Result<()> {
         if frame.n_rows() == 0 {
-            // Mirror the row path on an empty burst: no selections, no RNG
-            // consumed, no width check (an empty frame carries no width).
+            // Mirror sequential selects on an empty burst: no selections, no
+            // RNG consumed, no width check (an empty frame carries no width).
             out.clear();
             return Ok(());
         }
@@ -231,7 +236,7 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         }
         let n = frame.n_rows();
         // Pass 1 — the schedule: draw per-row explore decisions in row
-        // order, exactly the RNG stream the row-slice path consumes (the
+        // order, exactly the RNG stream sequential selects consume (the
         // draws never depend on predictions, so hoisting them is exact).
         out.clear();
         out.reserve(n);
@@ -254,15 +259,14 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         } = self;
         frame_preds.clear();
         frame_preds.resize(arms.len() * n, 0.0);
-        let mut row_buf: Vec<f64> = Vec::new();
         for (a, arm) in arms.iter().enumerate() {
             let col = &mut frame_preds[a * n..(a + 1) * n];
             if let Some((w, b)) = arm.linear_coeffs() {
                 frame.predict_into(w, b, frame_scratch, col);
             } else {
                 for (r, p) in col.iter_mut().enumerate() {
-                    frame.copy_row_into(r, &mut row_buf);
-                    *p = arm.predict(&row_buf);
+                    frame.copy_row_into(r, row);
+                    *p = arm.predict(row);
                 }
             }
         }
@@ -300,6 +304,7 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
         let n = frame.n_rows();
         absorbed.clear();
@@ -313,7 +318,7 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             // reference loop so the error surfaces at exactly the row (and
             // with exactly the prefix absorbed) the sequential path
             // produces.
-            return crate::policy::observe_frame_rows(self, frame, absorbed);
+            return crate::policy::observe_frame_rows(self, frame, absorbed, row);
         }
         let nf = self.n_features;
         let DecayingEpsilonGreedy {

@@ -13,11 +13,14 @@
 //!
 //! ## Bitwise-determinism contract
 //!
-//! The columnar batch path is **bitwise identical** to the row-slice path:
-//! for any batch, [`crate::Policy::select_frame_into`] over a frame built
-//! from the rows returns exactly the selections (and consumes exactly the
-//! RNG stream) of `select_batch_into` over the rows, and every prediction
-//! matches [`crate::Policy::predict`] to the last bit. This holds because
+//! The columnar batch path is **bitwise identical** to sequential single
+//! rounds: for any batch, [`crate::Policy::select_frame_into`] over a frame
+//! built from the rows returns exactly the selections (and consumes exactly
+//! the RNG stream) of one [`crate::Policy::select`] call per row in row
+//! order — for [`crate::ScaledPolicy`], of absorbing every row into its
+//! scaler first and then selecting on each standardized row — and every
+//! prediction matches [`crate::Policy::predict`] to the last bit. This
+//! holds because
 //!
 //! * [`FeatureFrame::predict_into`] replays `vector::dot`'s accumulation
 //!   order exactly: four independent lane accumulators over feature blocks
@@ -170,7 +173,7 @@ impl FeatureFrame {
         &mut self.cols[f * self.n_rows..(f + 1) * self.n_rows]
     }
 
-    /// Gather row `r` into `out` (cleared first) — the row-slice shim for
+    /// Gather row `r` into `out` (cleared first) — the row view for
     /// consumers that need one context contiguously (ticket bookkeeping,
     /// policies without a columnar kernel).
     ///
@@ -256,7 +259,7 @@ impl FeatureFrame {
 /// The same bitwise-determinism contract as the select side applies:
 /// absorbing a frame through [`crate::Policy::observe_frame`] produces
 /// exactly the policy state of row-by-row [`crate::Policy::observe`] calls
-/// in row order (see `crates/core/tests/record_frame_equivalence.rs`).
+/// in row order (see `crates/serve/tests/record_frame_equivalence.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ObservationFrame {
     features: FeatureFrame,

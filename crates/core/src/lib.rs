@@ -19,7 +19,8 @@
 //! * [`frame`] — columnar ([`frame::FeatureFrame`]) batch contexts: the
 //!   serving layers transpose each coalesced burst once so the per-arm
 //!   predict sweep and the scaler pass stride contiguous memory, bitwise
-//!   identical to the row-slice path.
+//!   identical to sequential single rounds. It is the only batch layout:
+//!   rows are a view over it ([`frame::FeatureFrame::copy_row_into`]).
 //! * [`epsilon`] — [`epsilon::DecayingEpsilonGreedy`], Algorithm 1 itself.
 //! * [`linucb`], [`thompson`], [`ucb`], [`boltzmann`] — the "different and
 //!   more complex contextual bandit algorithms" the paper's §5 plans as

@@ -68,54 +68,26 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// [`crate::CoreError::FeatureDimMismatch`] on a wrong-arity context.
     fn select(&mut self, x: &[f64]) -> Result<Selection>;
 
-    /// Choose arms for a whole batch of contexts against the **same model
-    /// state** (no refits happen between the selections; only schedule
-    /// randomness advances). The default delegates to
-    /// [`Policy::select_batch_into`], so wrappers only override the latter
-    /// to amortize per-batch work — e.g. [`crate::ScaledPolicy`] runs one
-    /// scaler pass for the whole batch instead of one per call.
+    /// Choose arms for a whole **columnar** batch of contexts
+    /// ([`crate::FeatureFrame`]) against the **same model state** (no
+    /// refits happen between the selections; only schedule randomness
+    /// advances): one selection per frame row, into `out` (cleared first),
+    /// **bitwise identical** to calling [`Policy::select`] on each row in
+    /// order — same selections, same RNG stream consumption (see the
+    /// [`crate::frame`] module docs for the contract). The one exception is
+    /// a wrapper that learns from contexts at selection time:
+    /// [`crate::ScaledPolicy`] absorbs the whole burst into its scaler
+    /// before it selects on any row.
     ///
-    /// # Errors
-    /// Propagates [`Policy::select`]; on error, selections already made for
-    /// earlier contexts in the batch have still consumed randomness.
-    fn select_batch(&mut self, xs: &[&[f64]]) -> Result<Vec<Selection>> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.select_batch_into(&mut xs.iter().copied(), &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Policy::select_batch`] into a caller-owned buffer (cleared first):
-    /// the allocation-free batched select path. Serving layers keep one
-    /// selections buffer per recommender and reuse it across bursts, so the
-    /// steady-state batch path performs no heap allocation (pinned by
-    /// `alloc_free.rs`). Contexts arrive as an iterator so callers never
-    /// materialize a `Vec<&[f64]>` of borrows per call.
-    ///
-    /// # Errors
-    /// Propagates [`Policy::select`]; on error the buffer holds the
-    /// selections made so far (which have consumed randomness).
-    fn select_batch_into<'a>(
-        &mut self,
-        xs: &mut dyn ExactSizeIterator<Item = &'a [f64]>,
-        out: &mut Vec<Selection>,
-    ) -> Result<()> {
-        out.clear();
-        out.reserve(xs.len());
-        for x in xs {
-            out.push(self.select(x)?);
-        }
-        Ok(())
-    }
-
-    /// [`Policy::select_batch_into`] over a **columnar** batch
-    /// ([`crate::FeatureFrame`]): one selection per frame row, into `out`
-    /// (cleared first), **bitwise identical** to the row-slice path — same
-    /// selections, same RNG stream consumption (see the [`crate::frame`]
-    /// module docs for the contract). The default gathers each row and
-    /// delegates to [`Policy::select`]; policies with a columnar kernel
-    /// ([`crate::DecayingEpsilonGreedy`]) and batch-amortizing wrappers
-    /// ([`crate::ScaledPolicy`]) override it so the per-arm predict loop and
-    /// the scaler pass stride contiguous columns.
+    /// The default gathers each row into `row` and delegates to
+    /// [`Policy::select`]. `row` is caller-owned gather scratch: serving
+    /// layers keep one per recommender (with the `out` buffer) and reuse
+    /// both across bursts, so the steady-state batch path performs no heap
+    /// allocation (pinned by `alloc_free.rs`). Policies with a columnar
+    /// kernel ([`crate::DecayingEpsilonGreedy`]) and batch-amortizing
+    /// wrappers ([`crate::ScaledPolicy`], one scaler pass per burst)
+    /// override it so the per-arm predict loop and the scaler pass stride
+    /// contiguous columns.
     ///
     /// # Errors
     /// Propagates [`Policy::select`] validation; on error the buffer
@@ -124,13 +96,13 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
         &mut self,
         frame: &crate::FeatureFrame,
         out: &mut Vec<Selection>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
         out.clear();
         out.reserve(frame.n_rows());
-        let mut row = Vec::with_capacity(frame.n_features());
         for r in 0..frame.n_rows() {
-            frame.copy_row_into(r, &mut row);
-            out.push(self.select(&row)?);
+            frame.copy_row_into(r, row);
+            out.push(self.select(row)?);
         }
         Ok(())
     }
@@ -156,8 +128,9 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// **Bitwise contract:** on success the policy lands in exactly the
     /// state of row-by-row [`Policy::observe`] calls in row order — model
     /// statistics, schedules, and RNG positions (`observe` consumes no
-    /// randomness). The default gathers each row and delegates to
-    /// `observe`, flagging a strict prefix on failure; policies with
+    /// randomness). The default gathers each row into the caller-owned
+    /// `row` scratch (as [`Policy::select_frame_into`] does) and delegates
+    /// to `observe`, flagging a strict prefix on failure; policies with
     /// columnar absorb kernels ([`crate::DecayingEpsilonGreedy`] groups
     /// rows per arm into one [`crate::ArmEstimator::absorb_block`] each)
     /// and transforming wrappers ([`crate::ScaledPolicy`] standardizes the
@@ -171,8 +144,9 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
-        observe_frame_rows(self, frame, absorbed)
+        observe_frame_rows(self, frame, absorbed, row)
     }
 
     /// Absorb an observation whose context this policy has **not** seen
@@ -298,24 +272,13 @@ impl Policy for Box<dyn Policy> {
         (**self).select(x)
     }
 
-    fn select_batch(&mut self, xs: &[&[f64]]) -> Result<Vec<Selection>> {
-        (**self).select_batch(xs)
-    }
-
-    fn select_batch_into<'a>(
-        &mut self,
-        xs: &mut dyn ExactSizeIterator<Item = &'a [f64]>,
-        out: &mut Vec<Selection>,
-    ) -> Result<()> {
-        (**self).select_batch_into(xs, out)
-    }
-
     fn select_frame_into(
         &mut self,
         frame: &crate::FeatureFrame,
         out: &mut Vec<Selection>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
-        (**self).select_frame_into(frame, out)
+        (**self).select_frame_into(frame, out, row)
     }
 
     fn exploit(&self, x: &[f64], costs: &[f64]) -> Result<usize> {
@@ -330,8 +293,9 @@ impl Policy for Box<dyn Policy> {
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
-        (**self).observe_frame(frame, absorbed)
+        (**self).observe_frame(frame, absorbed, row)
     }
 
     fn warm_start(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
@@ -368,21 +332,22 @@ impl Policy for Box<dyn Policy> {
 }
 
 /// The row-gather reference implementation of [`Policy::observe_frame`]:
-/// gather each row, delegate to [`Policy::observe`] in row order, flag the
-/// absorbed prefix, stop at the first failure. Shared by the trait default
+/// gather each row into the caller-owned `row` scratch, delegate to
+/// [`Policy::observe`] in row order, flag the absorbed prefix, stop at the
+/// first failure. Shared by the trait default
 /// and by columnar overrides as their fallback when a batch fails
 /// pre-validation (so error positions match the sequential path exactly).
 pub(crate) fn observe_frame_rows<P: Policy + ?Sized>(
     policy: &mut P,
     frame: &crate::ObservationFrame,
     absorbed: &mut Vec<bool>,
+    row: &mut Vec<f64>,
 ) -> Result<()> {
     absorbed.clear();
     absorbed.resize(frame.n_rows(), false);
-    let mut row = Vec::with_capacity(frame.n_features());
     for r in 0..frame.n_rows() {
-        frame.features().copy_row_into(r, &mut row);
-        policy.observe(frame.arm(r), &row, frame.outcome(r))?;
+        frame.features().copy_row_into(r, row);
+        policy.observe(frame.arm(r), row, frame.outcome(r))?;
         absorbed[r] = true;
     }
     Ok(())
@@ -435,10 +400,11 @@ mod tests {
         assert_eq!(p.n_arms(), 2);
         assert_eq!(p.n_features(), 1);
         let xs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
-        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        let sels = p.select_batch(&refs).unwrap();
+        let frame = crate::FeatureFrame::from_rows(&xs).unwrap();
+        let mut sels = Vec::new();
+        p.select_frame_into(&frame, &mut sels, &mut Vec::new()).unwrap();
         assert_eq!(sels.len(), 4);
-        for (s, &x) in sels.iter().zip(&refs) {
+        for (s, x) in sels.iter().zip(&xs) {
             p.observe(s.arm, x, 10.0 + x[0]).unwrap();
         }
         assert_eq!(p.pulls().iter().sum::<usize>(), 4);

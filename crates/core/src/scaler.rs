@@ -216,13 +216,10 @@ pub struct ScaledPolicy<P: Policy> {
     /// Scratch: one standardized context (select/observe scale in place
     /// here instead of allocating a fresh vector per call).
     zbuf: Vec<f64>,
-    /// Scratch: a whole standardized batch, flattened (one allocation-free
-    /// buffer instead of one vector per request).
-    flat: Vec<f64>,
     /// Read-path scratch: one standardized context for `&self` receivers.
     read_z: std::sync::Mutex<Vec<f64>>,
-    /// Scratch: a whole standardized batch in columnar layout (the frame
-    /// path's counterpart to `flat`).
+    /// Scratch: a whole standardized batch in columnar layout (one
+    /// allocation-free frame reused across bursts).
     zframe: FeatureFrame,
     /// Scratch: a whole standardized *observation* batch (the record-path
     /// counterpart to `zframe`).
@@ -235,7 +232,6 @@ impl<P: Policy + Clone> Clone for ScaledPolicy<P> {
             inner: self.inner.clone(),
             scaler: self.scaler.clone(),
             zbuf: self.zbuf.clone(),
-            flat: self.flat.clone(),
             read_z: std::sync::Mutex::new(Vec::new()),
             zframe: self.zframe.clone(),
             zobs: self.zobs.clone(),
@@ -251,7 +247,6 @@ impl<P: Policy> ScaledPolicy<P> {
             inner,
             scaler: StandardScaler::new(n),
             zbuf: Vec::with_capacity(n),
-            flat: Vec::new(),
             read_z: std::sync::Mutex::new(Vec::with_capacity(n)),
             zframe: FeatureFrame::new(),
             zobs: crate::ObservationFrame::new(),
@@ -289,40 +284,17 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
         inner.select(zbuf)
     }
 
-    fn select_batch_into<'a>(
+    fn select_frame_into(
         &mut self,
-        xs: &mut dyn ExactSizeIterator<Item = &'a [f64]>,
+        frame: &FeatureFrame,
         out: &mut Vec<Selection>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
         // One scaler pass for the whole batch: absorb every context first,
         // then standardize them all against the same (post-batch)
-        // statistics. Every request in a batch is standardized identically,
-        // and the scaler is updated once instead of interleaved with
-        // selections. The raw burst is staged flattened in one reused
-        // buffer, then transformed chunk-by-chunk in place.
-        let ScaledPolicy { inner, scaler, flat, zbuf, .. } = self;
-        flat.clear();
-        let mut count = 0usize;
-        for x in xs {
-            scaler.observe(x)?;
-            flat.extend_from_slice(x);
-            count += 1;
-        }
-        let n = scaler.n_features();
-        if n == 0 {
-            return inner.select_batch_into(&mut (0..count).map(|_| &[][..]), out);
-        }
-        for chunk in flat.chunks_exact_mut(n) {
-            scaler.transform_into(chunk, zbuf)?;
-            chunk.copy_from_slice(zbuf);
-        }
-        inner.select_batch_into(&mut flat.chunks_exact(n), out)
-    }
-
-    fn select_frame_into(&mut self, frame: &FeatureFrame, out: &mut Vec<Selection>) -> Result<()> {
-        // The columnar twin of `select_batch_into`: absorb every context,
-        // then standardize them all against the same (post-batch)
         // statistics — column by column, into a policy-owned scratch frame.
+        // Every request in a burst is standardized identically, and the
+        // scaler is updated once instead of interleaved with selections.
         if frame.n_rows() == 0 {
             out.clear();
             return Ok(());
@@ -330,11 +302,11 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
         let ScaledPolicy { inner, scaler, zframe, .. } = self;
         scaler.observe_frame(frame)?;
         scaler.transform_frame(frame, zframe)?;
-        inner.select_frame_into(zframe, out)
+        inner.select_frame_into(zframe, out, row)
     }
 
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
-        // The matching select/select_batch already absorbed this context;
+        // The matching select/select_frame_into already absorbed this context;
         // only transform here. Contexts arriving *without* a selection go
         // through warm_start below.
         let ScaledPolicy { inner, scaler, zbuf, .. } = self;
@@ -346,6 +318,7 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        row: &mut Vec<f64>,
     ) -> Result<()> {
         // The columnar twin of `observe`: the matching select path already
         // absorbed these contexts into the scaler, so this only transforms —
@@ -360,7 +333,7 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
             return Err(e);
         }
         zobs.copy_lanes_from(frame);
-        inner.observe_frame(zobs, absorbed)
+        inner.observe_frame(zobs, absorbed, row)
     }
 
     fn warm_start(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
@@ -518,12 +491,13 @@ mod tests {
             scaled_epsilon_greedy(ArmSpec::unit_costs(2), 1, BanditConfig::paper().with_seed(9))
                 .unwrap();
         let xs: Vec<Vec<f64>> = (1..=8).map(|i| vec![i as f64 * 10.0]).collect();
-        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        let sels = p.select_batch(&refs).unwrap();
+        let frame = FeatureFrame::from_rows(&xs).unwrap();
+        let mut sels = Vec::new();
+        p.select_frame_into(&frame, &mut sels, &mut Vec::new()).unwrap();
         assert_eq!(sels.len(), 8);
         // every batch context was absorbed exactly once
         assert_eq!(p.scaler().n_obs(), 8);
-        for (s, &x) in sels.iter().zip(&refs) {
+        for (s, x) in sels.iter().zip(&xs) {
             p.observe(s.arm, x, x[0] + 5.0).unwrap();
         }
         // observe must not re-feed the scaler (selection already did)

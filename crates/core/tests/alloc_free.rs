@@ -241,15 +241,19 @@ fn read_path_is_allocation_free() {
     assert_eq!(n, 0, "scaled read path allocated {n} times in 200 sweeps");
 }
 
-/// The PR-6 batched-select pin: `select_batch_into` over a reused
-/// selections buffer — the path `Engine::recommend_batch` drives per
-/// coalesced network burst — performs zero heap allocations once warm,
-/// including the scaled wrapper's absorb-all-then-transform-all pass.
+/// The batched-select pin: refilling a reused [`FeatureFrame`] in place
+/// and selecting through `select_frame_into` over a reused selections
+/// buffer and a reused row-gather buffer — the path
+/// `Engine::recommend_batch_frame` drives per coalesced network burst —
+/// performs zero heap allocations once warm: the per-arm columnar predict
+/// kernel, the scaled wrapper's column-wise scaler pass, and the default
+/// row gather (LinUCB) alike.
 fn batched_select_path_is_allocation_free() {
     const M: usize = 16;
     const B: usize = 32;
     let mut xs: Vec<Vec<f64>> = (0..B).map(|_| vec![0.0; M]).collect();
     let mut out = Vec::with_capacity(B);
+    let mut row = Vec::new();
 
     let fill_batch = |xs: &mut [Vec<f64>], round: usize| {
         for (i, x) in xs.iter_mut().enumerate() {
@@ -257,64 +261,9 @@ fn batched_select_path_is_allocation_free() {
         }
     };
 
-    // --- ε-greedy (the serving default): batch = sequential selects. ---
-    let mut policy = DecayingEpsilonGreedy::<RecursiveArm>::new(
-        ArmSpec::unit_costs(5),
-        M,
-        BanditConfig::paper().with_epsilon0(0.1).with_seed(7),
-    )
-    .unwrap();
-    for round in 0..50 {
-        fill_batch(&mut xs, round);
-        policy.observe(round % 5, &xs[0], 10.0 + (round % 17) as f64).unwrap();
-    }
-    policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    let n = count_allocs(100, |round| {
-        fill_batch(&mut xs, 50 + round);
-        policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    });
-    assert_eq!(n, 0, "ε-greedy select_batch_into allocated {n} times in 100 warm bursts");
-
-    // --- Scaled ε-greedy: the flattened staging buffer must be reused. ---
-    let mut policy = ScaledPolicy::new(
-        DecayingEpsilonGreedy::<RecursiveArm>::new(
-            ArmSpec::unit_costs(4),
-            M,
-            BanditConfig::paper().with_epsilon0(0.1).with_seed(8),
-        )
-        .unwrap(),
-    );
-    for round in 0..50 {
-        fill_batch(&mut xs, round);
-        let sel = policy.select(&xs[0]).unwrap();
-        policy.observe(sel.arm, &xs[0], 10.0 + (round % 11) as f64).unwrap();
-    }
-    policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    let n = count_allocs(100, |round| {
-        fill_batch(&mut xs, 50 + round);
-        policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    });
-    assert_eq!(n, 0, "scaled select_batch_into allocated {n} times in 100 warm bursts");
-
-    // --- LinUCB: the deterministic LCB sweep, batched. ---
-    let mut policy = LinUcb::new(ArmSpec::unit_costs(5), M, 1.0, 1.0).unwrap();
-    for round in 0..50 {
-        fill_batch(&mut xs, round);
-        policy.observe(round % 5, &xs[0], 10.0 + (round % 13) as f64).unwrap();
-    }
-    policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    let n = count_allocs(100, |round| {
-        fill_batch(&mut xs, 50 + round);
-        policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    });
-    assert_eq!(n, 0, "LinUCB select_batch_into allocated {n} times in 100 warm bursts");
-
-    // --- The PR-7 columnar pin: refilling a reused `FeatureFrame` in place
-    // and selecting through `select_frame_into` (the per-arm columnar
-    // predict kernel + the scaled wrapper's column-wise scaler pass) stays
-    // allocation-free once warm. ---
     let mut frame = FeatureFrame::new();
 
+    // --- ε-greedy (the serving default): the columnar predict kernel. ---
     let mut policy = DecayingEpsilonGreedy::<RecursiveArm>::new(
         ArmSpec::unit_costs(5),
         M,
@@ -326,14 +275,16 @@ fn batched_select_path_is_allocation_free() {
         policy.observe(round % 5, &xs[0], 10.0 + (round % 17) as f64).unwrap();
     }
     frame.fill_from_rows(&xs).unwrap();
-    policy.select_frame_into(&frame, &mut out).unwrap();
+    policy.select_frame_into(&frame, &mut out, &mut row).unwrap();
     let n = count_allocs(100, |round| {
         fill_batch(&mut xs, 50 + round);
         frame.fill_from_rows(&xs).unwrap();
-        policy.select_frame_into(&frame, &mut out).unwrap();
+        policy.select_frame_into(&frame, &mut out, &mut row).unwrap();
     });
     assert_eq!(n, 0, "ε-greedy frame path allocated {n} times in 100 warm bursts");
 
+    // --- Scaled ε-greedy: the column-wise scaler pass must reuse the
+    // wrapper's staging frame. ---
     let mut policy = ScaledPolicy::new(
         DecayingEpsilonGreedy::<RecursiveArm>::new(
             ArmSpec::unit_costs(4),
@@ -348,27 +299,43 @@ fn batched_select_path_is_allocation_free() {
         policy.observe(sel.arm, &xs[0], 10.0 + (round % 11) as f64).unwrap();
     }
     frame.fill_from_rows(&xs).unwrap();
-    policy.select_frame_into(&frame, &mut out).unwrap();
+    policy.select_frame_into(&frame, &mut out, &mut row).unwrap();
     let n = count_allocs(100, |round| {
         fill_batch(&mut xs, 50 + round);
         frame.fill_from_rows(&xs).unwrap();
-        policy.select_frame_into(&frame, &mut out).unwrap();
+        policy.select_frame_into(&frame, &mut out, &mut row).unwrap();
     });
     assert_eq!(n, 0, "scaled frame path allocated {n} times in 100 warm bursts");
+
+    // --- LinUCB: the default row gather must reuse the caller's buffer. ---
+    let mut policy = LinUcb::new(ArmSpec::unit_costs(5), M, 1.0, 1.0).unwrap();
+    for round in 0..50 {
+        fill_batch(&mut xs, round);
+        policy.observe(round % 5, &xs[0], 10.0 + (round % 13) as f64).unwrap();
+    }
+    frame.fill_from_rows(&xs).unwrap();
+    policy.select_frame_into(&frame, &mut out, &mut row).unwrap();
+    let n = count_allocs(100, |round| {
+        fill_batch(&mut xs, 50 + round);
+        frame.fill_from_rows(&xs).unwrap();
+        policy.select_frame_into(&frame, &mut out, &mut row).unwrap();
+    });
+    assert_eq!(n, 0, "LinUCB frame path allocated {n} times in 100 warm bursts");
 }
 
-/// The PR-8 columnar record pin: staging a burst into a reused
+/// The batched-record pin: staging a burst into a reused
 /// [`ObservationFrame`] and absorbing it through `observe_frame` — the
 /// per-arm counting sort, the feature-major block gather, the rank-k Gram
-/// fold (`push_block` + live-factor cholupdates), and the scaled wrapper's
-/// column transform — performs zero heap allocations once warm. The select
-/// path got this pin in PR 7; the record path never had one.
+/// fold (`push_block` + live-factor cholupdates), the scaled wrapper's
+/// column transform, and the default row gather (LinUCB) into a reused
+/// buffer — performs zero heap allocations once warm.
 fn batched_record_path_is_allocation_free() {
     const M: usize = 16;
     const B: usize = 32;
     let mut xs: Vec<Vec<f64>> = (0..B).map(|_| vec![0.0; M]).collect();
     let mut obs = ObservationFrame::new();
     let mut absorbed: Vec<bool> = Vec::new();
+    let mut row = Vec::new();
 
     let fill_batch = |xs: &mut [Vec<f64>], round: usize| {
         for (i, x) in xs.iter_mut().enumerate() {
@@ -400,11 +367,11 @@ fn batched_record_path_is_allocation_free() {
     // Warm the group/block scratches (and every arm's live factor) once.
     fill_batch(&mut xs, 50);
     stage(&mut obs, &xs, 50, 5);
-    policy.observe_frame(&obs, &mut absorbed).unwrap();
+    policy.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
     let n = count_allocs(100, |round| {
         fill_batch(&mut xs, 51 + round);
         stage(&mut obs, &xs, 51 + round, 5);
-        policy.observe_frame(&obs, &mut absorbed).unwrap();
+        policy.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
     });
     assert_eq!(n, 0, "ε-greedy observe_frame allocated {n} times in 100 warm bursts");
 
@@ -425,13 +392,30 @@ fn batched_record_path_is_allocation_free() {
     }
     fill_batch(&mut xs, 50);
     stage(&mut obs, &xs, 50, 4);
-    policy.observe_frame(&obs, &mut absorbed).unwrap();
+    policy.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
     let n = count_allocs(100, |round| {
         fill_batch(&mut xs, 51 + round);
         stage(&mut obs, &xs, 51 + round, 4);
-        policy.observe_frame(&obs, &mut absorbed).unwrap();
+        policy.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
     });
     assert_eq!(n, 0, "scaled observe_frame allocated {n} times in 100 warm bursts");
+
+    // --- LinUCB: the default row-gather absorption must reuse the
+    // caller's buffer. ---
+    let mut policy = LinUcb::new(ArmSpec::unit_costs(5), M, 1.0, 1.0).unwrap();
+    for round in 0..50 {
+        fill_batch(&mut xs, round);
+        policy.observe(round % 5, &xs[0], 10.0 + (round % 13) as f64).unwrap();
+    }
+    fill_batch(&mut xs, 50);
+    stage(&mut obs, &xs, 50, 5);
+    policy.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
+    let n = count_allocs(100, |round| {
+        fill_batch(&mut xs, 51 + round);
+        stage(&mut obs, &xs, 51 + round, 5);
+        policy.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
+    });
+    assert_eq!(n, 0, "LinUCB observe_frame allocated {n} times in 100 warm bursts");
 }
 
 fn main() {

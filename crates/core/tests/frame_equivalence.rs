@@ -1,18 +1,29 @@
-//! Bitwise equivalence of the columnar batch path and the row paths.
+//! Bitwise equivalence of the columnar batch path and sequential single
+//! rounds.
 //!
-//! PR 7's contract: driving a recommender through `recommend_batch_frame`
-//! (struct-of-arrays [`FeatureFrame`], blocked predict kernels, hoisted RNG
-//! draws) produces the *same* selections, the *same* RNG stream, and
-//! bit-for-bit the *same* predictions as the row-slice batch path
-//! (`Policy::select_batch_into`, which `recommend_batch` used before the
-//! columnar rewrite). These tests pin the two against each other on
-//! identically seeded twins across bursts whose sizes and feature widths
-//! cover the 4-lane block tails, and additionally pin the `recommend_batch`
-//! row-slice shim against an explicitly built frame.
+//! The frame path is the only batch API: a burst is a [`FeatureFrame`]
+//! (struct-of-arrays contexts, blocked predict kernels, hoisted RNG draws)
+//! on the select side and an [`ObservationFrame`] (per-arm grouped rank-k
+//! folds) on the record side. Its contract is that a burst lands exactly
+//! where one round at a time would: the *same* selections, the *same* RNG
+//! stream, bit-for-bit the *same* predictions, and the *same* policy state.
+//! These tests pin it against a reference that never batches, on
+//! identically seeded twins, across bursts whose sizes and feature widths
+//! cover the 4-lane block tails:
+//!
+//! * ε-greedy and LinUCB: the reference is a loop of [`Policy::select`] /
+//!   [`Policy::observe`] calls;
+//! * [`banditware_core::ScaledPolicy`]: the reference is built from public
+//!   parts — a [`StandardScaler`] fed every context of the burst, then
+//!   `transform_into` per context and `select` on an unwrapped inner
+//!   ε-greedy (a burst is standardized against its post-burst statistics).
 
+use banditware_core::epsilon::EpsilonGreedy;
+use banditware_core::linucb::LinUcb;
 use banditware_core::scaler::scaled_epsilon_greedy;
 use banditware_core::{
-    ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, Recommendation, Selection,
+    ArmSpec, BanditConfig, BanditWare, FeatureFrame, ObservationFrame, Policy, PolicyState,
+    Selection, StandardScaler, Ticket,
 };
 
 const M: usize = 7; // deliberately not a multiple of 4: exercises kernel tails
@@ -40,148 +51,194 @@ fn runtime(arm: usize, x: &[f64]) -> f64 {
 // Burst sizes covering empty, tails 1..3, exact blocks, and bigger bursts.
 const BURSTS: &[usize] = &[4, 1, 0, 5, 8, 3, 13, 2, 16, 7];
 
-fn assert_recs_bitwise_eq(a: &Recommendation, b: &Recommendation, ctx: &str) {
-    assert_eq!(a.arm, b.arm, "{ctx}: arm");
-    assert_eq!(a.explored, b.explored, "{ctx}: explored flag");
-    assert_eq!(
-        a.predicted_runtime.to_bits(),
-        b.predicted_runtime.to_bits(),
-        "{ctx}: predicted_runtime bits ({} vs {})",
-        a.predicted_runtime,
-        b.predicted_runtime
-    );
+/// A policy driven one round at a time — the reference the frame path is
+/// pinned against.
+trait Sequential {
+    /// Select for every context of a burst, against one model state.
+    fn select_burst(&mut self, contexts: &[Vec<f64>]) -> Vec<Selection>;
+    fn predict(&self, arm: usize, x: &[f64]) -> f64;
+    fn observe(&mut self, arm: usize, x: &[f64], runtime: f64);
+    fn state(&self) -> PolicyState;
 }
 
-/// Drive twin policies at width `m`: one through the row-slice
-/// `select_batch_into`, the other through `select_frame_into` over a
-/// [`FeatureFrame`] of the same rows. Selections must match exactly (same
-/// arms, same explore draws — i.e. the same RNG stream), the models are
-/// trained identically between bursts, and the final snapshots must be
-/// equal (bitwise on every stored float).
-fn frame_matches_row_batch<P: Policy>(mut row_policy: P, mut frame_policy: P, m: usize) {
+/// Any policy as its own reference: one `select` / `observe` per row.
+struct OneAtATime<P>(P);
+
+impl<P: Policy> Sequential for OneAtATime<P> {
+    fn select_burst(&mut self, contexts: &[Vec<f64>]) -> Vec<Selection> {
+        contexts.iter().map(|x| self.0.select(x).unwrap()).collect()
+    }
+
+    fn predict(&self, arm: usize, x: &[f64]) -> f64 {
+        self.0.predict(arm, x).unwrap()
+    }
+
+    fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) {
+        self.0.observe(arm, x, runtime).unwrap();
+    }
+
+    fn state(&self) -> PolicyState {
+        self.0.snapshot()
+    }
+}
+
+/// The scaled ε-greedy wrapper rebuilt from public parts.
+struct ScaledByHand {
+    scaler: StandardScaler,
+    inner: EpsilonGreedy,
+    z: Vec<f64>,
+}
+
+impl ScaledByHand {
+    fn new(m: usize, seed: u64) -> Self {
+        ScaledByHand {
+            scaler: StandardScaler::new(m),
+            inner: EpsilonGreedy::new(specs(), m, BanditConfig::paper().with_seed(seed)).unwrap(),
+            z: Vec::new(),
+        }
+    }
+}
+
+impl Sequential for ScaledByHand {
+    fn select_burst(&mut self, contexts: &[Vec<f64>]) -> Vec<Selection> {
+        for x in contexts {
+            self.scaler.observe(x).unwrap();
+        }
+        contexts
+            .iter()
+            .map(|x| {
+                self.scaler.transform_into(x, &mut self.z).unwrap();
+                self.inner.select(&self.z).unwrap()
+            })
+            .collect()
+    }
+
+    fn predict(&self, arm: usize, x: &[f64]) -> f64 {
+        let z = self.scaler.transform(x).unwrap();
+        self.inner.predict(arm, &z).unwrap()
+    }
+
+    fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) {
+        self.scaler.transform_into(x, &mut self.z).unwrap();
+        self.inner.observe(arm, &self.z, runtime).unwrap();
+    }
+
+    fn state(&self) -> PolicyState {
+        PolicyState::Scaled { scaler: self.scaler.state(), inner: Box::new(self.inner.snapshot()) }
+    }
+}
+
+/// Policy level: `select_frame_into` over each burst returns exactly the
+/// reference's selections (same arms, same explore draws — i.e. the same
+/// RNG stream), and `observe_frame` over the burst's outcomes absorbs every
+/// row and leaves the policy in exactly the reference's state (bitwise on
+/// every stored float) after every burst.
+fn policy_frame_path_matches<P: Policy>(mut reference: impl Sequential, mut framed: P, m: usize) {
     let mut frame = FeatureFrame::new();
-    let mut row_sels: Vec<Selection> = Vec::new();
-    let mut frame_sels: Vec<Selection> = Vec::new();
+    let mut obs = ObservationFrame::new();
+    let (mut sels, mut absorbed, mut row) = (Vec::new(), Vec::new(), Vec::new());
     for (round, &n) in BURSTS.iter().enumerate() {
         let contexts: Vec<Vec<f64>> = (0..n).map(|r| context(round, r, m)).collect();
 
-        row_policy
-            .select_batch_into(&mut contexts.iter().map(|x| x.as_slice()), &mut row_sels)
-            .unwrap();
+        let expected = reference.select_burst(&contexts);
         frame.fill_from_rows(&contexts).unwrap();
-        frame_policy.select_frame_into(&frame, &mut frame_sels).unwrap();
+        framed.select_frame_into(&frame, &mut sels, &mut row).unwrap();
+        assert_eq!(sels, expected, "m={m} round {round}: selections");
 
-        assert_eq!(row_sels.len(), frame_sels.len(), "m={m} round {round}: burst size");
-        for (i, (a, b)) in row_sels.iter().zip(&frame_sels).enumerate() {
-            assert_eq!(a.arm, b.arm, "m={m} round {round} row {i}: arm");
-            assert_eq!(a.explored, b.explored, "m={m} round {round} row {i}: explored");
-        }
-
-        // Train both twins identically so later bursts exercise the
-        // exploit path against fitted (non-zero) models.
+        // Absorb the burst (later bursts then exploit fitted models).
+        obs.begin(n, m);
         for (i, x) in contexts.iter().enumerate() {
-            let arm = row_sels[i].arm;
-            let rt = runtime(arm, x);
-            row_policy.observe(arm, x, rt).unwrap();
-            frame_policy.observe(arm, x, rt).unwrap();
+            let arm = expected[i].arm;
+            reference.observe(arm, x, runtime(arm, x));
+            obs.set_row(i, arm, x, runtime(arm, x), expected[i].explored).unwrap();
         }
+        framed.observe_frame(&obs, &mut absorbed, &mut row).unwrap();
+        assert!(absorbed.iter().all(|&a| a), "m={m} round {round}: every row absorbed");
+        assert_eq!(framed.snapshot(), reference.state(), "m={m} round {round}: policy state");
     }
-    assert_eq!(
-        row_policy.snapshot(),
-        frame_policy.snapshot(),
-        "m={m}: policy state diverged between row-batch and frame paths"
-    );
 }
 
 #[test]
-fn scaled_epsilon_frame_selects_bitwise_like_row_batch() {
-    let mk = || scaled_epsilon_greedy(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
-    frame_matches_row_batch(mk(), mk(), M);
+fn epsilon_frame_path_matches_sequential_rounds() {
+    let mk = || EpsilonGreedy::new(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
+    policy_frame_path_matches(OneAtATime(mk()), mk(), M);
+}
+
+/// The default row-gather `select_frame_into` / `observe_frame` (used by
+/// policies without a columnar kernel) — here via LinUCB, which selects
+/// deterministically from its confidence bounds.
+#[test]
+fn linucb_default_gather_matches_sequential_rounds() {
+    let mk = || LinUcb::new(specs(), M, 1.0, 1e-3).unwrap();
+    policy_frame_path_matches(OneAtATime(mk()), mk(), M);
 }
 
 #[test]
-fn plain_epsilon_frame_selects_bitwise_like_row_batch() {
-    let mk = || {
-        banditware_core::epsilon::EpsilonGreedy::new(
-            specs(),
-            M,
-            BanditConfig::paper().with_seed(SEED),
-        )
-        .unwrap()
-    };
-    frame_matches_row_batch(mk(), mk(), M);
+fn scaled_frame_path_matches_scaler_plus_inner_by_hand() {
+    let framed = scaled_epsilon_greedy(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
+    policy_frame_path_matches(ScaledByHand::new(M, SEED), framed, M);
 }
 
 /// Feature widths sweeping the block tails (0..=9) all stay bitwise
-/// identical between the frame path and the row-batch path.
+/// identical to the by-hand scaled reference.
 #[test]
-fn frame_matches_row_batch_across_feature_widths() {
+fn scaled_frame_path_matches_by_hand_across_feature_widths() {
     for m in 0..=9usize {
-        let mk = || {
-            scaled_epsilon_greedy(specs(), m, BanditConfig::paper().with_seed(SEED ^ m as u64))
-                .unwrap()
-        };
-        frame_matches_row_batch(mk(), mk(), m);
+        let seed = SEED ^ m as u64;
+        let framed = scaled_epsilon_greedy(specs(), m, BanditConfig::paper().with_seed(seed));
+        policy_frame_path_matches(ScaledByHand::new(m, seed), framed.unwrap(), m);
     }
 }
 
-/// Recorder level: `recommend_batch` (the row-slice shim) and
-/// `recommend_batch_frame` over an explicitly built frame agree bitwise —
-/// same arms, same explore flags, same predicted runtimes — and leave the
-/// recommenders in identical states.
-fn recommend_shim_matches_frame<P: Policy>(mut rows: BanditWare<P>, mut framed: BanditWare<P>) {
-    let mut frame = FeatureFrame::new();
+/// Recorder level: `recommend_batch_frame` issues the reference's arms and
+/// explore flags with bit-identical predicted runtimes, and
+/// `record_batch_frame` (outcomes in reverse issue order) lands the policy
+/// in the reference's state.
+fn recommender_frame_path_matches<P: Policy>(
+    mut reference: impl Sequential,
+    mut framed: BanditWare<P>,
+) {
     for (round, &n) in BURSTS.iter().enumerate() {
         let contexts: Vec<Vec<f64>> = (0..n).map(|r| context(round, r, M)).collect();
 
-        let via_rows = rows.recommend_batch(&contexts).unwrap();
-        frame.fill_from_rows(&contexts).unwrap();
-        let via_frame = framed.recommend_batch_frame(&frame).unwrap();
-
-        assert_eq!(via_rows.len(), via_frame.len(), "round {round}: burst size");
-        for (i, ((ta, ra), (tb, rb))) in via_rows.iter().zip(&via_frame).enumerate() {
-            assert_recs_bitwise_eq(ra, rb, &format!("round {round} row {i}"));
-            let rt = runtime(ra.arm, &contexts[i]);
-            rows.record_ticket(*ta, rt).unwrap();
-            framed.record_ticket(*tb, rt).unwrap();
+        let expected = reference.select_burst(&contexts);
+        let issued = framed.recommend_batch_frame(&FeatureFrame::from_rows(&contexts).unwrap());
+        let issued = issued.unwrap();
+        assert_eq!(issued.len(), n, "round {round}: burst size");
+        for (i, ((_, rec), sel)) in issued.iter().zip(&expected).enumerate() {
+            assert_eq!((rec.arm, rec.explored), (sel.arm, sel.explored), "round {round} row {i}");
+            let predicted = reference.predict(sel.arm, &contexts[i]);
+            assert_eq!(
+                rec.predicted_runtime.to_bits(),
+                predicted.to_bits(),
+                "round {round} row {i}: predicted_runtime ({} vs {predicted})",
+                rec.predicted_runtime
+            );
         }
+
+        let outcomes: Vec<(Ticket, f64)> = issued
+            .iter()
+            .zip(&contexts)
+            .rev()
+            .map(|((t, rec), x)| (*t, runtime(rec.arm, x)))
+            .collect();
+        for (i, x) in contexts.iter().enumerate().rev() {
+            reference.observe(expected[i].arm, x, runtime(expected[i].arm, x));
+        }
+        framed.record_batch_frame(&outcomes).unwrap();
+        assert_eq!(framed.in_flight(), 0, "round {round}: every ticket closed");
     }
-    assert_eq!(
-        rows.policy().snapshot(),
-        framed.policy().snapshot(),
-        "policy state diverged between row-shim and frame paths"
-    );
+    assert_eq!(framed.policy().snapshot(), reference.state(), "policy state diverged");
 }
 
 #[test]
-fn scaled_epsilon_recommend_shim_matches_frame_bitwise() {
-    let mk = || {
-        let policy =
-            scaled_epsilon_greedy(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
-        BanditWare::new(policy, specs())
-    };
-    recommend_shim_matches_frame(mk(), mk());
+fn epsilon_recommender_frame_path_matches_sequential_rounds() {
+    let mk = || EpsilonGreedy::new(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
+    recommender_frame_path_matches(OneAtATime(mk()), BanditWare::new(mk(), specs()));
 }
 
 #[test]
-fn plain_epsilon_recommend_shim_matches_frame_bitwise() {
-    let mk = || {
-        let policy = banditware_core::epsilon::EpsilonGreedy::new(
-            specs(),
-            M,
-            BanditConfig::paper().with_seed(SEED),
-        )
-        .unwrap();
-        BanditWare::new(policy, specs())
-    };
-    recommend_shim_matches_frame(mk(), mk());
-}
-
-/// The default row-gather `select_frame_into` (used by policies without a
-/// columnar kernel) also matches the row batch path — here via LinUcb,
-/// which selects deterministically from its confidence bounds.
-#[test]
-fn default_frame_gather_matches_row_batch_for_linucb() {
-    let mk = || banditware_core::linucb::LinUcb::new(specs(), M, 1.0, 1e-3).unwrap();
-    frame_matches_row_batch(mk(), mk(), M);
+fn scaled_recommender_frame_path_matches_by_hand() {
+    let policy = scaled_epsilon_greedy(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
+    recommender_frame_path_matches(ScaledByHand::new(M, SEED), BanditWare::new(policy, specs()));
 }

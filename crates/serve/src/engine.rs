@@ -197,22 +197,12 @@ impl Engine {
         self.with_shard_mut(key, |shard| shard.recommend_ticketed(features))?
     }
 
-    /// Recommend for a whole batch of workflows of `key` under **one**
-    /// stripe lock acquisition and one policy batch pass.
-    ///
-    /// # Errors
-    /// Propagates policy validation; on error no tickets are issued.
-    pub fn recommend_batch(
-        &self,
-        key: &str,
-        contexts: &[Vec<f64>],
-    ) -> Result<Vec<(Ticket, Recommendation)>> {
-        self.with_shard_mut(key, |shard| shard.recommend_batch(contexts))?
-    }
-
-    /// [`Engine::recommend_batch`] over an already-columnar burst: the
-    /// caller transposes once outside the stripe lock, the shard runs the
-    /// frame pipeline directly (bitwise identical to the row-slice path).
+    /// Recommend for a whole batch of workflows of `key`, one per row of a
+    /// columnar [`FeatureFrame`], under **one** stripe lock acquisition and
+    /// one policy frame pass. The caller transposes once outside the stripe
+    /// lock ([`FeatureFrame::from_rows`] / [`FeatureFrame::fill_from_rows`]);
+    /// the shard runs the frame pipeline directly (see
+    /// [`BanditWare::recommend_batch_frame`]).
     ///
     /// # Errors
     /// Propagates policy validation; on error no tickets are issued.
@@ -237,24 +227,9 @@ impl Engine {
     }
 
     /// Record a batch of outcomes for `key` under one stripe lock
-    /// acquisition. Request validation is atomic; absorption is per round
-    /// (see [`BanditWare::record_batch`]).
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownTicket`] / [`CoreError::InvalidRuntime`]; policy
-    /// validation otherwise.
-    pub fn record_batch(&self, key: &str, outcomes: &[(Ticket, f64)]) -> Result<()> {
-        let Some(&(first, _)) = outcomes.first() else {
-            return Ok(());
-        };
-        self.with_existing_shard_mut(key, |shard| shard.record_batch(outcomes))
-            .ok_or(CoreError::UnknownTicket { ticket: first.id() })?
-    }
-
-    /// [`Engine::record_batch`] through the columnar observe path: the
-    /// shard stages the burst into its reused
-    /// [`banditware_core::ObservationFrame`] and absorbs it in one policy
-    /// frame pass (per-arm grouped rank-k folds
+    /// acquisition. Request validation is atomic; the shard stages the
+    /// burst into its reused [`banditware_core::ObservationFrame`] and
+    /// absorbs it in one policy frame pass (per-arm grouped rank-k folds
     /// for the linear families), bitwise identical to recording the rounds
     /// one at a time — see [`BanditWare::record_batch_frame`].
     ///
@@ -437,8 +412,8 @@ mod tests {
         let e = engine();
         let err = e.record("ghost", Ticket::from_id(0), 1.0).unwrap_err();
         assert!(matches!(err, CoreError::UnknownTicket { ticket: 0 }));
-        assert!(e.record_batch("ghost", &[(Ticket::from_id(3), 1.0)]).is_err());
-        assert!(e.record_batch("ghost", &[]).is_ok(), "empty batch is a no-op");
+        assert!(e.record_batch_frame("ghost", &[(Ticket::from_id(3), 1.0)]).is_err());
+        assert!(e.record_batch_frame("ghost", &[]).is_ok(), "empty batch is a no-op");
         assert!(!e.drop_ticket("ghost", Ticket::from_id(0)));
         assert!(e.history("ghost").is_none());
     }
@@ -447,12 +422,13 @@ mod tests {
     fn batch_path_shares_one_lock_pass() {
         let e = engine();
         let contexts: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let issued = e.recommend_batch("w", &contexts).unwrap();
+        let issued = e.recommend_batch_frame("w", &FeatureFrame::from_rows(&contexts).unwrap());
+        let issued = issued.unwrap();
         assert_eq!(issued.len(), 10);
         assert_eq!(e.open_tickets("w").len(), 10);
         let outcomes: Vec<(Ticket, f64)> =
             issued.iter().rev().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        e.record_batch("w", &outcomes).unwrap();
+        e.record_batch_frame("w", &outcomes).unwrap();
         assert_eq!(e.stats(), EngineStats { keys: 1, recorded_rounds: 10, in_flight: 0 });
     }
 

@@ -6,8 +6,8 @@
 //!
 //! * **Append** — every recorded observation is written as one
 //!   CRC32-stamped line to the key's active segment file through a
-//!   group-commit writer: a [`DurableEngine::record_batch`] appends the
-//!   whole batch with a single write. Appends happen inside the shard lock,
+//!   group-commit writer: a [`DurableEngine::record_batch_frame`] appends
+//!   the whole batch with a single write. Appends happen inside the shard lock,
 //!   so the log order is exactly the shard's absorption order (each line
 //!   carries the absolute observation sequence number as a cross-check).
 //! * **Rotate/seal** — when the active segment exceeds the configured size
@@ -42,7 +42,7 @@
 //! | [`Durability::FsyncPerRotation`] | `flush` | `fsync` | `fsync` |
 //! | [`Durability::FsyncPerBatch`] | `fsync` | `fsync` | `fsync` |
 //!
-//! Under `Flush`, an acknowledged `record_batch` can vanish on power loss
+//! Under `Flush`, an acknowledged `record_batch_frame` can vanish on power loss
 //! (the historical behavior, now opt-in rather than silent); under
 //! `FsyncPerBatch` it cannot. The replication `MANIFEST` only ever
 //! advertises files that have actually been fsynced — a `Flush`-mode
@@ -104,8 +104,8 @@ pub enum Durability {
     /// can only lose the *active* segment's tail, and sealed segments are
     /// immediately eligible for replication.
     FsyncPerRotation,
-    /// `fsync` every group commit: an acknowledged `record`/`record_batch`
-    /// survives power loss.
+    /// `fsync` every group commit: an acknowledged
+    /// `record`/`record_batch_frame` survives power loss.
     FsyncPerBatch,
 }
 
@@ -1159,18 +1159,6 @@ impl DurableEngine {
         self.engine.recommend(key, features).map_err(Into::into)
     }
 
-    /// Batched recommend for `key` (not logged).
-    ///
-    /// # Errors
-    /// Propagates policy validation.
-    pub fn recommend_batch(
-        &self,
-        key: &str,
-        contexts: &[Vec<f64>],
-    ) -> ServeResult<Vec<(Ticket, Recommendation)>> {
-        self.engine.recommend_batch(key, contexts).map_err(Into::into)
-    }
-
     /// Batched recommend for `key` over a columnar frame (not logged).
     ///
     /// # Errors
@@ -1183,79 +1171,44 @@ impl DurableEngine {
         self.engine.recommend_batch_frame(key, frame).map_err(Into::into)
     }
 
-    /// Record one runtime and append it to the key's WAL (apply + append
-    /// under the same shard-lock critical section, flushed — and fsynced,
-    /// per the [`Durability`] policy — before returning).
-    ///
-    /// Failure semantics: validation and lock failures happen *before* the
-    /// in-memory apply, so the ticket stays open and the call is cleanly
-    /// retryable. An **append IO failure** (disk full, EIO) happens after
-    /// it: the observation is live in the serving state but not in the
-    /// log — the error tells the caller durability was not achieved, and a
-    /// crash before the next successful [`DurableEngine::compact`] loses
-    /// that one record.
+    /// Record one runtime and append it to the key's WAL: a one-element
+    /// [`DurableEngine::record_batch_frame`], so a single record takes the
+    /// same validate → apply → append path as a batch, and the log bytes
+    /// do not depend on how the rounds were batched.
     ///
     /// # Errors
-    /// [`CoreError::UnknownTicket`] / policy validation / [`CoreError::Io`]
-    /// (all via [`ServeError::Core`]); [`ServeError::LockPoisoned`].
+    /// As [`DurableEngine::record_batch_frame`].
     pub fn record(&self, key: &str, ticket: Ticket, runtime: f64) -> ServeResult<()> {
-        self.engine
-            .with_existing_shard_mut(key, |shard| -> ServeResult<()> {
-                let round = shard
-                    .in_flight_round(ticket)
-                    .ok_or(CoreError::UnknownTicket { ticket: ticket.id() })?
-                    .clone();
-                // Only touch the filesystem once the ticket is known to be
-                // real: a stray record must not mint a phantom tenant
-                // directory that recovery would then report as a key.
-                let wal = self.key_wal(key)?;
-                // Acquire (and, if poisoned, heal) the appender BEFORE the
-                // in-memory apply: a lock failure must leave the ticket
-                // open and retryable. (An IO failure inside append itself
-                // still happens after the apply — see the doc comment for
-                // those semantics.)
-                let mut appender = Self::lock_wal(&wal)?;
-                shard.record_ticket(ticket, runtime)?;
-                let seq = shard.rounds() - 1;
-                let line = format_wal_line(
-                    seq,
-                    ticket,
-                    round.arm,
-                    round.explored,
-                    runtime,
-                    &round.features,
-                );
-                appender.append(&line, 1)
-            })
-            .ok_or(ServeError::Core(CoreError::UnknownTicket { ticket: ticket.id() }))?
+        self.record_batch_frame(key, &[(ticket, runtime)])
     }
 
-    /// Record a batch of outcomes with **one** WAL append + flush for the
-    /// whole group. Validation is atomic (mirrors
-    /// [`banditware_core::BanditWare::record_batch`]); absorption is per
-    /// round, and every absorbed round is in the flushed group even when a
-    /// later round fails numerically.
+    /// Record a batch of outcomes with **one** WAL append + flush (and
+    /// fsync, per the [`Durability`] policy) for the whole group, through
+    /// the columnar observe path: one atomic validation pass, one policy
+    /// frame absorption
+    /// ([`banditware_core::BanditWare::record_batch_frame_logged`] — per-arm
+    /// grouped rank-k folds for the linear families). The logged callback
+    /// builds the group-commit buffer in the same shard-lock critical
+    /// section as the in-memory apply, one line per absorbed round in frame
+    /// row order, so the log bytes are identical to recording the rounds
+    /// one at a time. Every absorbed round is in the flushed group even
+    /// when a later round fails numerically.
+    ///
+    /// Failure semantics: validation and lock failures happen *before* the
+    /// in-memory apply, so every ticket stays open, the call is cleanly
+    /// retryable, and nothing touches the filesystem — a stray or malformed
+    /// record cannot mint a phantom tenant directory that recovery would
+    /// then report as a key. An **append IO failure** (disk full, EIO)
+    /// happens after the apply: the observations are live in the serving
+    /// state but not in the log — the error tells the caller durability
+    /// was not achieved, and a crash before the next successful
+    /// [`DurableEngine::compact`] loses those records.
     ///
     /// # Errors
     /// [`CoreError::UnknownTicket`] / [`CoreError::InvalidRuntime`] /
     /// [`CoreError::InvalidParameter`] for a duplicated ticket; policy
     /// validation and [`CoreError::Io`] otherwise (all via
     /// [`ServeError::Core`]); [`ServeError::LockPoisoned`].
-    pub fn record_batch(&self, key: &str, outcomes: &[(Ticket, f64)]) -> ServeResult<()> {
-        self.record_batch_frame(key, outcomes)
-    }
-
-    /// [`DurableEngine::record_batch`] through the columnar observe path:
-    /// one atomic validation pass, one policy frame absorption
-    /// ([`banditware_core::BanditWare::record_batch_frame_logged`] — per-arm
-    /// grouped rank-k folds for the linear families), and still **one** WAL
-    /// append + flush for the whole group. The logged callback builds the
-    /// group-commit buffer in the same shard-lock critical section as the
-    /// in-memory apply, one line per absorbed round in frame row order, so
-    /// the log bytes are identical to recording the rounds one at a time.
-    ///
-    /// # Errors
-    /// As [`DurableEngine::record_batch`].
     pub fn record_batch_frame(&self, key: &str, outcomes: &[(Ticket, f64)]) -> ServeResult<()> {
         let Some(&(first, _)) = outcomes.first() else {
             return Ok(());

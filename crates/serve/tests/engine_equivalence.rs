@@ -7,7 +7,10 @@
 //! recommenders that keep emitting identical recommendations.
 
 use banditware_core::persist;
-use banditware_core::{ArmSpec, BanditConfig, BanditWare, CoreError, Observation, Policy, Ticket};
+use banditware_core::{
+    ArmSpec, BanditConfig, BanditWare, CoreError, FeatureFrame, Observation, Policy,
+    Recommendation, Ticket,
+};
 use banditware_serve::builder::build_policy;
 use banditware_serve::stress::{draw_context, true_runtime};
 use banditware_serve::{run_stress, Engine, StressPlan};
@@ -40,20 +43,26 @@ fn shard_twin(e: &Engine, key: &str) -> BanditWare<Box<dyn Policy>> {
 }
 
 /// The legacy single-threaded loop for one key: the exact round stream the
-/// stress harness drives, replayed through the core facade.
+/// stress harness drives, replayed through the core facade one round at a
+/// time — one `recommend_ticketed` per context, one `record_ticket` per
+/// outcome — so the engine's batched frame path is pinned against
+/// sequential single rounds.
 fn legacy_loop(twin: &mut BanditWare<Box<dyn Policy>>, plan: &StressPlan, key: &str) {
     let mut rng = plan.key_rng(key);
     let mut remaining = plan.rounds_per_key;
     while remaining > 0 {
         let batch = plan.batch_size.max(1).min(remaining);
         let contexts: Vec<Vec<f64>> = (0..batch).map(|_| draw_context(&mut rng)).collect();
-        let issued = twin.recommend_batch(&contexts).unwrap();
+        let issued: Vec<(Ticket, Recommendation)> =
+            contexts.iter().map(|x| twin.recommend_ticketed(x).unwrap()).collect();
         let outcomes: Vec<(Ticket, f64)> = issued
             .iter()
             .zip(&contexts)
             .map(|((t, rec), x)| (*t, true_runtime(rec.arm, x, &mut rng)))
             .collect();
-        twin.record_batch(&outcomes).unwrap();
+        for (t, rt) in outcomes {
+            twin.record_ticket(t, rt).unwrap();
+        }
         remaining -= batch;
     }
 }
@@ -224,7 +233,8 @@ fn every_policy_refuses_non_finite_contexts_without_a_trace() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let err = served.recommend("k", &[1.0, bad]).unwrap_err();
             assert!(matches!(err, CoreError::NonFiniteFeature { index: 1, .. }), "{name}: {err}");
-            let err = served.recommend_batch("k", &[vec![1.0, 2.0], vec![bad, 2.0]]).unwrap_err();
+            let burst = FeatureFrame::from_rows(&[vec![1.0, 2.0], vec![bad, 2.0]]).unwrap();
+            let err = served.recommend_batch_frame("k", &burst).unwrap_err();
             assert!(matches!(err, CoreError::NonFiniteFeature { index: 0, .. }), "{name}: {err}");
         }
         assert!(served.open_tickets("k").is_empty(), "{name}: no ticket issued");

@@ -1,14 +1,15 @@
-//! Bitwise equivalence of the columnar record path and the row paths.
+//! Bitwise equivalence of the columnar record path and sequential single
+//! rounds.
 //!
-//! PR 8's contract, the record-side twin of `engine_equivalence.rs`:
-//! absorbing a burst through `record_batch_frame` (staged
-//! [`ObservationFrame`], per-arm grouped rank-k Gram folds) leaves the
-//! policy in bit-for-bit the *same* state as recording the rounds one at a
-//! time in input order — same snapshots, same prediction bits, same
-//! histories, and (through [`DurableEngine`]) the same WAL segment bytes.
-//! The twins are driven across burst sizes covering the 4-lane block tails
-//! (0–16), feature widths 0–9, and interleaved frame / shim / single-record
-//! calls, for plain + scaled ε-greedy and LinUCB.
+//! The record-side twin of `engine_equivalence.rs`: absorbing a burst
+//! through `record_batch_frame` (staged `ObservationFrame`, per-arm grouped
+//! rank-k Gram folds) leaves the policy in bit-for-bit the *same* state as
+//! recording the rounds one at a time in input order — same snapshots, same
+//! prediction bits, same histories, and (through [`DurableEngine`]) the
+//! same WAL segment bytes. The twins are driven across burst sizes covering
+//! the 4-lane block tails (0–16), feature widths 0–9, and interleaved
+//! whole-burst / single-record / split-burst calls, for plain + scaled
+//! ε-greedy and LinUCB.
 
 use banditware_core::scaler::scaled_epsilon_greedy;
 use banditware_core::{
@@ -44,8 +45,8 @@ fn runtime(arm: usize, x: &[f64]) -> f64 {
 
 /// Drive identically seeded twin recommenders through the same issued
 /// rounds; the `rows` twin records every round one at a time (the
-/// reference semantics), the `framed` twin cycles frame-batch / single /
-/// shim-batch record calls. Every round probes per-arm prediction bits;
+/// reference semantics), the `framed` twin cycles whole-burst / single /
+/// split-burst `record_batch_frame` calls. Every round probes per-arm prediction bits;
 /// the end states (snapshot, history, round counters, open tickets) must
 /// be identical.
 fn record_frame_matches_rows<P: Policy>(
@@ -84,7 +85,11 @@ fn record_frame_matches_rows<P: Policy>(
                     framed.record_ticket(t, rt).unwrap();
                 }
             }
-            _ => framed.record_batch(&out_frame).unwrap(),
+            _ => {
+                let (head, tail) = out_frame.split_at(out_frame.len() / 2);
+                framed.record_batch_frame(head).unwrap();
+                framed.record_batch_frame(tail).unwrap();
+            }
         }
 
         for arm in 0..3 {
@@ -246,59 +251,67 @@ fn probe_predictions(engine: &Engine, key: &str) -> Vec<u64> {
     bits
 }
 
-/// One `DurableEngine` records every round with a per-ticket `record`
-/// (one append per observation), the other absorbs each burst with
-/// `record_batch_frame` (one grouped append per burst, grouped rank-k
-/// absorption). The models, the round counters, and the **WAL segment
-/// bytes** — seqs, lines, CRCs — must come out identical.
+/// Three twins see the same issued rounds: an in-memory [`Engine`] that
+/// records one round at a time through `Engine::record` (the sequential
+/// observe path, no frame code), a `DurableEngine` that records each round
+/// with its own `record` call (one append per observation), and a
+/// `DurableEngine` that absorbs each burst with `record_batch_frame` (one
+/// grouped append per burst, grouped rank-k absorption; every third burst
+/// split in two). The per-round and batched logs must hold the same
+/// **segment bytes** — seqs, lines, CRCs — and all three models the same
+/// prediction bits and histories.
 #[test]
-fn durable_record_frame_wal_bytes_match_row_path() {
-    let dir_rows = tmp_dir("pr8-record-rows");
-    let dir_frame = tmp_dir("pr8-record-frame");
-    let (rows, _) = DurableEngine::open(builder(), WalOptions::new(&dir_rows)).unwrap();
-    let (framed, _) = DurableEngine::open(builder(), WalOptions::new(&dir_frame)).unwrap();
+fn per_round_record_writes_the_wal_bytes_of_batched_record_batch_frame() {
+    let dir_rounds = tmp_dir("record-per-round");
+    let dir_batched = tmp_dir("record-batched");
+    let sequential = builder().build().unwrap();
+    let (per_round, _) = DurableEngine::open(builder(), WalOptions::new(&dir_rounds)).unwrap();
+    let (batched, _) = DurableEngine::open(builder(), WalOptions::new(&dir_batched)).unwrap();
 
+    let mut frame = FeatureFrame::new();
     for (round, &n) in BURSTS.iter().enumerate() {
         let contexts: Vec<Vec<f64>> = (0..n).map(|r| context(round, r, M)).collect();
-        let via_rows = rows.recommend_batch("w", &contexts).unwrap();
-        let via_frame = framed.recommend_batch("w", &contexts).unwrap();
-        assert_eq!(via_rows.len(), via_frame.len(), "round {round}: burst size");
-        for ((ta, ra), (tb, rb)) in via_rows.iter().zip(&via_frame) {
-            assert_eq!(ra.arm, rb.arm, "round {round}: selections diverged");
-            assert_eq!(ta.id(), tb.id(), "round {round}: ticket ids diverged");
+        frame.fill_from_rows(&contexts).unwrap();
+        let issued = sequential.recommend_batch_frame("w", &frame).unwrap();
+        let via_rounds = per_round.recommend_batch_frame("w", &frame).unwrap();
+        let via_batch = batched.recommend_batch_frame("w", &frame).unwrap();
+        for (i, (t, rec)) in issued.iter().enumerate() {
+            for (tb, rb) in [&via_rounds[i], &via_batch[i]] {
+                assert_eq!((t.id(), rec.arm), (tb.id(), rb.arm), "round {round}: selections");
+            }
         }
-        for (i, &(ticket, _)) in via_rows.iter().enumerate() {
-            let rt = runtime(via_rows[i].1.arm, &contexts[i]);
-            rows.record("w", ticket, rt).unwrap();
-        }
-        let outcomes: Vec<(Ticket, f64)> = via_frame
+        let outcomes: Vec<(Ticket, f64)> = issued
             .iter()
             .enumerate()
             .map(|(i, (t, rec))| (*t, runtime(rec.arm, &contexts[i])))
             .collect();
-        // Interleave single-record rounds through the frame path too.
-        if round % 3 == 1 {
-            for &(t, rt) in &outcomes {
-                framed.record("w", t, rt).unwrap();
-            }
+        for &(t, rt) in &outcomes {
+            sequential.record("w", t, rt).unwrap();
+            per_round.record("w", t, rt).unwrap();
+        }
+        if round % 3 == 2 {
+            let (head, tail) = outcomes.split_at(n / 2);
+            batched.record_batch_frame("w", head).unwrap();
+            batched.record_batch_frame("w", tail).unwrap();
         } else {
-            framed.record_batch_frame("w", &outcomes).unwrap();
+            batched.record_batch_frame("w", &outcomes).unwrap();
         }
     }
 
+    let reference = probe_predictions(&sequential, "w");
+    assert_eq!(probe_predictions(per_round.engine(), "w"), reference, "per-round model");
+    assert_eq!(probe_predictions(batched.engine(), "w"), reference, "batched model");
+    let history = sequential.history("w").unwrap();
+    assert_eq!(per_round.engine().history("w").unwrap(), history, "per-round history");
+    assert_eq!(batched.engine().history("w").unwrap(), history, "batched history");
     assert_eq!(
-        probe_predictions(rows.engine(), "w"),
-        probe_predictions(framed.engine(), "w"),
-        "prediction bits diverged between durable row and frame record paths"
-    );
-    assert_eq!(
-        wal_bytes(&dir_rows.join("kw")),
-        wal_bytes(&dir_frame.join("kw")),
-        "WAL segment bytes diverged between per-record appends and group commits"
+        wal_bytes(&dir_rounds.join("kw")),
+        wal_bytes(&dir_batched.join("kw")),
+        "WAL segment bytes diverged between per-round records and group commits"
     );
 
-    drop(rows);
-    drop(framed);
-    let _ = std::fs::remove_dir_all(&dir_rows);
-    let _ = std::fs::remove_dir_all(&dir_frame);
+    drop(per_round);
+    drop(batched);
+    let _ = std::fs::remove_dir_all(&dir_rounds);
+    let _ = std::fs::remove_dir_all(&dir_batched);
 }

@@ -3,7 +3,7 @@
 //! the recorded state — through bare segments, snapshot + tail, rotation,
 //! and a torn final line.
 
-use banditware_core::{ArmSpec, BanditConfig, Retention, Ticket};
+use banditware_core::{ArmSpec, BanditConfig, CoreError, FeatureFrame, Retention, Ticket};
 use banditware_serve::crc::crc32;
 use banditware_serve::{DurableEngine, Engine, EngineBuilder, ServeError, WalOptions};
 use std::path::PathBuf;
@@ -21,6 +21,10 @@ fn tmp_dir(name: &str) -> PathBuf {
         std::env::temp_dir().join("bw_wal_tests").join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+fn frame(rows: &[Vec<f64>]) -> FeatureFrame {
+    FeatureFrame::from_rows(rows).unwrap()
 }
 
 fn context(i: usize) -> Vec<f64> {
@@ -93,10 +97,10 @@ fn compaction_supersedes_segments_and_restores_bitwise() {
 
     for i in 0..40 {
         let contexts: Vec<Vec<f64>> = (0..4).map(|j| context(i * 4 + j)).collect();
-        let issued = engine.recommend_batch("w", &contexts).unwrap();
+        let issued = engine.recommend_batch_frame("w", &frame(&contexts)).unwrap();
         let outcomes: Vec<(Ticket, f64)> =
             issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        engine.record_batch("w", &outcomes).unwrap();
+        engine.record_batch_frame("w", &outcomes).unwrap();
     }
     // Leave a round in flight across the compaction AND the crash.
     let (held, held_rec) = engine.recommend("w", &[4.0, 4.0]).unwrap();
@@ -480,14 +484,23 @@ fn stray_records_do_not_mint_phantom_tenant_dirs() {
     // Record against keys that never recommended: rejected AND no
     // directory appears on disk.
     assert!(engine.record("typo-key", Ticket::from_id(0), 1.0).unwrap_err().is_unknown_ticket());
-    assert!(engine.record_batch("typo-batch", &[(Ticket::from_id(0), 1.0)]).is_err());
+    assert!(engine.record_batch_frame("typo-batch", &[(Ticket::from_id(0), 1.0)]).is_err());
     // A real key with an unknown ticket: shard exists, ticket doesn't —
     // still no WAL dir until a record succeeds.
     engine.engine().register("real").unwrap();
     assert!(engine.record("real", Ticket::from_id(7), 1.0).is_err());
+    // An open ticket with an invalid runtime: rejected before the
+    // filesystem is touched, and the ticket stays open.
+    let (t, _) = engine.recommend("open", &context(0)).unwrap();
+    for bad in [f64::NAN, -1.0] {
+        let err = engine.record("open", t, bad).unwrap_err();
+        assert!(matches!(err, ServeError::Core(CoreError::InvalidRuntime(_))), "{bad}: {err}");
+    }
+    assert_eq!(engine.engine().open_tickets("open"), vec![t]);
     assert!(!dir.join("ktypo-key").exists());
     assert!(!dir.join("ktypo-batch").exists());
     assert!(!dir.join("kreal").exists());
+    assert!(!dir.join("kopen").exists());
     drop(engine);
     let (_revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert!(report.keys.is_empty(), "no phantom tenants recovered: {:?}", report.keys);
@@ -499,13 +512,13 @@ fn batch_record_is_one_group_commit_and_validates_atomically() {
     let dir = tmp_dir("batch");
     let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
     let contexts: Vec<Vec<f64>> = (0..6).map(context).collect();
-    let issued = engine.recommend_batch("k", &contexts).unwrap();
+    let issued = engine.recommend_batch_frame("k", &frame(&contexts)).unwrap();
     let (t0, t1) = (issued[0].0, issued[1].0);
 
     // A malformed batch leaves engine AND log untouched.
-    assert!(engine.record_batch("k", &[(t0, 5.0), (Ticket::from_id(99), 5.0)]).is_err());
-    assert!(engine.record_batch("k", &[(t0, 5.0), (t0, 6.0)]).is_err());
-    assert!(engine.record_batch("k", &[(t0, 5.0), (t1, f64::NAN)]).is_err());
+    assert!(engine.record_batch_frame("k", &[(t0, 5.0), (Ticket::from_id(99), 5.0)]).is_err());
+    assert!(engine.record_batch_frame("k", &[(t0, 5.0), (t0, 6.0)]).is_err());
+    assert!(engine.record_batch_frame("k", &[(t0, 5.0), (t1, f64::NAN)]).is_err());
     assert_eq!(engine.engine().with_shard("k", |s| s.rounds()).unwrap(), 0);
     let seg = dir.join("kk").join("wal-1.log");
     assert!(!seg.exists(), "no observation lines before a valid record");
@@ -513,12 +526,12 @@ fn batch_record_is_one_group_commit_and_validates_atomically() {
     // A clean batch lands as one flushed group.
     let outcomes: Vec<(Ticket, f64)> =
         issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-    engine.record_batch("k", &outcomes).unwrap();
+    engine.record_batch_frame("k", &outcomes).unwrap();
     let lines = std::fs::read_to_string(&seg).unwrap();
     assert_eq!(lines.lines().filter(|l| l.starts_with("obs,")).count(), 6);
-    assert!(engine.record_batch("k", &[]).is_ok(), "empty batch is a no-op");
+    assert!(engine.record_batch_frame("k", &[]).is_ok(), "empty batch is a no-op");
     assert!(engine
-        .record_batch("ghost", &[(Ticket::from_id(1), 2.0)])
+        .record_batch_frame("ghost", &[(Ticket::from_id(1), 2.0)])
         .unwrap_err()
         .is_unknown_ticket());
     let _ = std::fs::remove_dir_all(&dir);
