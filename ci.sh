@@ -69,12 +69,13 @@ cargo bench -p banditware-bench --bench bench_serve
 # factorization exists for; the PR-7 "columnar round no slower than the row
 # round" gate is retired with the row batch API it compared against), the
 # PR-8 gates (the frame record path never slower
-# than the per-ticket row path at batch 64, plus the same >= 8x
-# refit-over-record ratio), and the PR-9 gates (fan-out throughput at 256
-# connections is at least that at 8 — the reactor's event loop keeps it
-# from falling as fan-out grows — a 1024-connection run is served to
-# completion, and the staged rank-64 Gram fold is no slower than
-# sequential pushes).
+# than the per-ticket row path at batch 64, the same >= 8x
+# refit-over-record ratio, and the block-fold gate: the rank-64 Gram fold
+# `push_block` no slower than 64 sequential pushes, >= 0.95x over paired
+# windows — it moved here from the retired PR-9 staged-fold gate), and the
+# PR-9 gates (fan-out throughput at 256 connections is at least that at
+# 8 — the reactor's event loop keeps it from falling as fan-out grows —
+# and a 1024-connection run is served to completion).
 # While iterating on one group locally, `BENCH_ONLY=<comma-separated PR
 # numbers>` (e.g. `BENCH_ONLY=7,8`) restricts the binary to those groups;
 # CI leaves it unset so every gate runs.

@@ -29,25 +29,27 @@
 //! batch layout, so the row round they compared against no longer exists
 //! (the `engine_round_b64` trajectory cell times the frame round with the
 //! row-to-frame transpose inside). `BENCH_PR8.json` adds the columnar
-//! *record* group: the rank-64 Gram fold (`NormalEquations::push_block`) against 64
+//! *record* group: the rank-64 Gram fold (`NormalEquations::push_block`,
+//! the one block fold every arm's `absorb_block` runs) against 64
 //! sequential pushes, the refactor cost a fold-then-refactor variant
 //! would pay instead of the per-row cholupdates, and the record-isolating
 //! engine round — per-ticket `record` loop vs one `record_batch_frame`
 //! grouped absorption — with the PR-8 acceptance gates: the frame record
-//! path never slower than the row path at batch 64, and the same ≥ 8×
-//! refit-over-record ratio. Medians committed on other hosts
+//! path never slower than the row path at batch 64, the same ≥ 8×
+//! refit-over-record ratio, and the block-fold gate — `push_block` no
+//! slower than 64 sequential pushes (`push_block_speedup ≥ 0.95`, taken
+//! from paired back-to-back windows). Medians committed on other hosts
 //! (`record_m64_pr3_committed`) stay in the JSON as informational
 //! context, not as gates: absolute wall times do not transfer between
 //! hosts. `BENCH_PR9.json` adds the epoll-reactor group: fan-out rounds
 //! (every connection sends one request per wave, driven by a single bench
 //! thread so the numbers hold at 1024 connections on small hosts) at
-//! N ∈ {1, 8, 64, 256, 1024} connections, plus the staged rank-64 Gram
-//! fold (`push_block_staged`, row-major cholupdate sweep) against the
-//! strided fold and 64 sequential pushes — with the PR-9 acceptance gates:
+//! N ∈ {1, 8, 64, 256, 1024} connections — with the PR-9 acceptance gates:
 //! fan-out throughput at 256 connections ≥ 1× that at 8 (the event loop
-//! must keep throughput from falling as fan-out grows), the
-//! 1024-connection run served to completion, and the staged fold no
-//! slower than sequential pushes. `ci.sh` runs this on every pass so
+//! must keep throughput from falling as fan-out grows) and the
+//! 1024-connection run served to completion. The PR-9 staged Gram-fold
+//! cells and their gate are retired with the staged kernel; the
+//! block-fold gate now lives in the PR-8 group on `push_block`. `ci.sh` runs this on every pass so
 //! future PRs extend the trajectory instead of re-asserting complexity
 //! claims.
 //!
@@ -267,37 +269,6 @@ fn bench_push(m: usize, k: usize, block: bool) -> f64 {
                 acc.push(row, y).unwrap();
             }
         }
-    })
-}
-
-/// The PR-9 staging variant of [`bench_push`]: the same warmed accumulator
-/// and live factor, but the block is absorbed through
-/// [`NormalEquations::push_block_staged`] with a row-major copy of the
-/// block alongside the feature-major one, so the per-row cholupdate sweep
-/// reads contiguous rows instead of stride-`k` gathers. Reported per
-/// *block*, like `bench_push`.
-fn bench_push_staged(m: usize, k: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(54);
-    let mut acc = NormalEquations::new(m);
-    for _ in 0..200 {
-        let x = context(m, &mut rng);
-        acc.push(&x, rng.gen_range(1.0..100.0)).unwrap();
-    }
-    let mut scratch = SolveScratch::new();
-    let mut fit = LinearFit::zeros(m);
-    acc.solve_into(1e-3, &mut scratch, &mut fit).unwrap(); // factor goes live
-    let rows: Vec<Vec<f64>> = (0..k).map(|_| context(m, &mut rng)).collect();
-    let ys: Vec<f64> = (0..k).map(|_| rng.gen_range(1.0..100.0)).collect();
-    let mut xcols = vec![0.0; m * k];
-    let mut xrows = vec![0.0; m * k];
-    for (r, row) in rows.iter().enumerate() {
-        for (f, &v) in row.iter().enumerate() {
-            xcols[f * k + r] = v;
-            xrows[r * m + f] = v;
-        }
-    }
-    median_ns_per_op(15, 200, move || {
-        acc.push_block_staged(&xcols, &xrows, &ys).unwrap();
     })
 }
 
@@ -863,7 +834,7 @@ fn main() {
     // size is ~20×; 8× leaves headroom for noise without ever passing an
     // accidental return to per-record refits.
     const REFIT_OVER_RECORD_MIN: f64 = 8.0;
-    // The PR-7/8/9 gates compare across runs (against a committed median)
+    // The PR-7/8 cells compare across runs (against a committed median)
     // or across distant windows of this run, so they take the best of three
     // independent measurements: on a shared host, steal time only ever
     // *inflates* a window, making the min the robust estimator of
@@ -929,15 +900,16 @@ fn main() {
     // sequential pushes, the fold-then-refactor alternative's refactor
     // cost, and the record-isolating engine round (per-ticket record loop
     // vs one grouped frame absorption). Cross-window comparisons take the
-    // best of three for the same robustness reasons as the PR-7 gates. ---
+    // best of three for the same robustness reasons as the PR-7 gates;
+    // the two same-run ratio gates take paired windows. ---
     if run_pr(8) {
-        let push_block_m64_k64 = best_of_3(bench_push(64, 64, true), &|| bench_push(64, 64, true));
-        let push_seq_m64_k64 = best_of_3(bench_push(64, 64, false), &|| bench_push(64, 64, false));
+        let (push_block_m64_k64, push_seq_m64_k64, block_over_seq) =
+            paired_ratio(5, &|| bench_push(64, 64, true), &|| bench_push(64, 64, false));
         let refactor_m65 = bench_refactor(65);
         let record_m64_pr8 = best_of_3(bench_record(64), &|| bench_record(64));
         let (engine_record_frame_b64, engine_record_rows_b64, record_frame_over_rows) =
             paired_ratio(5, &|| bench_engine_record(64, true), &|| bench_engine_record(64, false));
-        let push_block_speedup = push_seq_m64_k64 / push_block_m64_k64;
+        let push_block_speedup = 1.0 / block_over_seq;
         let record_m64_speedup_pr8 = PR3_RECORD_M64 / record_m64_pr8;
         let refit_over_record_pr8 = refactor_m65 / record_m64_pr8;
         let record_frame_speedup = 1.0 / record_frame_over_rows;
@@ -965,6 +937,14 @@ fn main() {
          path at batch 64, got {engine_record_frame_b64:.1} ns vs {engine_record_rows_b64:.1} ns \
          ({record_frame_speedup:.2}x)"
         );
+        // "No slower" with a 5% noise allowance; `push_block` is the fold
+        // every arm's `absorb_block` runs on the record path.
+        assert!(
+            push_block_speedup >= 0.95,
+            "PR-8 acceptance: the rank-64 Gram fold (push_block) must be no slower than 64 \
+         sequential pushes, got {push_block_m64_k64:.1} ns vs {push_seq_m64_k64:.1} ns \
+         ({push_block_speedup:.2}x)"
+        );
         assert!(
             refit_over_record_pr8 >= REFIT_OVER_RECORD_MIN,
             "PR-8 acceptance: an incremental record at m=64 ({record_m64_pr8:.1} ns) must stay \
@@ -979,8 +959,7 @@ fn main() {
     // --- PR 9: the epoll-reactor group — single-request-per-wave fan-out
     // rounds (the shape where one epoll wake sees every connection at once
     // and cross-connection coalescing turns N tiny requests into one
-    // columnar burst), plus the staged rank-64 Gram fold (row-major
-    // cholupdate sweep vs the PR-8 stride-k gather). ---
+    // columnar burst). ---
     // The scaling gate compares two separate server runs, and both move
     // under host steal. It therefore takes *paired* measurements (256
     // connections then 8, back to back, sharing whatever load the host is
@@ -1035,25 +1014,11 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n")
     };
-    let push_block_staged_m64_k64 =
-        best_of_3(bench_push_staged(64, 64), &|| bench_push_staged(64, 64));
-    let push_block_strided_m64_k64 =
-        best_of_3(bench_push(64, 64, true), &|| bench_push(64, 64, true));
-    let push_seq_m64_k64_pr9 = best_of_3(bench_push(64, 64, false), &|| bench_push(64, 64, false));
-    let staged_over_strided = push_block_strided_m64_k64 / push_block_staged_m64_k64;
-    let staged_block_speedup = push_seq_m64_k64_pr9 / push_block_staged_m64_k64;
-
     let json = format!(
         "{{\n  \"schema\": \"banditware-bench-v1\",\n  \"pr\": 9,\n  \"unit\": \"mixed\",\n  \
          \"net_round_trip_reactor\": {{\n{}\n  }},\n  \
          \"conns_256_over_8\": {conns_256_over_8:.2},\n  \
-         \"conns_1024_served_to_completion\": true,\n  \
-         \"kernels\": {{\n    \
-         \"push_block_staged_m64_k64\": {push_block_staged_m64_k64:.1},\n    \
-         \"push_block_strided_m64_k64\": {push_block_strided_m64_k64:.1},\n    \
-         \"push_seq_m64_k64\": {push_seq_m64_k64_pr9:.1}\n  }},\n  \
-         \"staged_over_strided\": {staged_over_strided:.2},\n  \
-         \"staged_block_speedup\": {staged_block_speedup:.2}\n}}\n",
+         \"conns_1024_served_to_completion\": true\n}}\n",
         fmt_net(&reactor_points),
     );
     std::fs::write(&out_path_pr9, &json).expect("write bench json");
@@ -1064,13 +1029,5 @@ fn main() {
         "PR-9 acceptance: fan-out throughput at 256 connections must be at least \
          {SCALING_BAR}x that at 8 connections (the event loop keeps it from falling as \
          fan-out grows), got {conns_256_over_8:.2}x"
-    );
-    // "No slower" with the same 5% noise allowance as the PR-7 columnar
-    // gate; the committed snapshot records the achieved ≥ 1.0x flip.
-    assert!(
-        staged_block_speedup >= 0.95,
-        "PR-9 acceptance: the staged rank-64 fold must be no slower than 64 sequential \
-         pushes, got {push_block_staged_m64_k64:.1} ns vs {push_seq_m64_k64_pr9:.1} ns \
-         ({staged_block_speedup:.2}x)"
     );
 }

@@ -83,55 +83,24 @@ pub trait ArmEstimator: Send + Sync + std::fmt::Debug {
     /// error is returned (`absorbed` reports how many leading rows were
     /// fully taken, so callers can account for partial absorption).
     ///
-    /// The default gathers rows one at a time and delegates to `update`;
-    /// linear-family estimators override it with columnar kernels (a rank-k
-    /// Gram fold for [`RecursiveArm`], a single deferred refit for
-    /// [`LinearArm`]).
+    /// The default gathers rows one at a time (a stride-`k` read per
+    /// feature) and delegates to `update`; linear-family estimators
+    /// override it with columnar kernels (a rank-k Gram fold through
+    /// [`NormalEquations::push_block`] for [`RecursiveArm`], a single
+    /// deferred refit for [`LinearArm`]).
     ///
     /// # Errors
     /// [`CoreError::FeatureDimMismatch`] when `xcols.len()` is not
     /// `n_features·k`, plus everything `update` can return.
     fn absorb_block(&mut self, xcols: &[f64], ys: &[f64], absorbed: &mut usize) -> Result<()> {
         *absorbed = 0;
-        let k = ys.len();
         let nf = self.n_features();
-        if xcols.len() != nf * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: nf,
-            });
-        }
-        let mut row = vec![0.0; nf];
-        for (r, &y) in ys.iter().enumerate() {
-            for (f, dst) in row.iter_mut().enumerate() {
-                *dst = xcols[f * k + r];
-            }
-            self.update(&row, y)?;
+        check_block(xcols, nf, ys.len())?;
+        for_each_row(xcols, nf, ys, 0, |r, row, y| {
+            self.update(row, y)?;
             *absorbed = r + 1;
-        }
-        Ok(())
-    }
-
-    /// [`ArmEstimator::absorb_block`] with an additional caller-staged
-    /// **row-major** copy of the same block (`xrows[r·nf .. (r+1)·nf]` is
-    /// row `r`). Estimators whose per-row kernels walk whole rows — the
-    /// recursive arm's cholupdate sweep — read the contiguous staging
-    /// instead of a stride-`k` gather; everything else ignores `xrows`.
-    /// Same values, same arithmetic: the bitwise contract of
-    /// `absorb_block` is unchanged.
-    ///
-    /// # Errors
-    /// As [`ArmEstimator::absorb_block`].
-    fn absorb_block_staged(
-        &mut self,
-        xcols: &[f64],
-        xrows: &[f64],
-        ys: &[f64],
-        absorbed: &mut usize,
-    ) -> Result<()> {
-        debug_assert_eq!(xrows.len(), xcols.len());
-        let _ = xrows;
-        self.absorb_block(xcols, ys, absorbed)
+            Ok(())
+        })
     }
 
     /// Current fitted coefficients.
@@ -147,6 +116,43 @@ fn validate(x: &[f64], n_features: usize, runtime: f64) -> Result<()> {
     }
     if !runtime.is_finite() || runtime <= 0.0 {
         return Err(CoreError::InvalidRuntime(runtime));
+    }
+    Ok(())
+}
+
+/// Reject a feature-major block whose length is not `nf · k`.
+fn check_block(xcols: &[f64], nf: usize, k: usize) -> Result<()> {
+    if xcols.len() != nf * k {
+        return Err(CoreError::FeatureDimMismatch {
+            got: if k == 0 { xcols.len() } else { xcols.len() / k },
+            expected: nf,
+        });
+    }
+    Ok(())
+}
+
+/// Walk rows `from..k` of a feature-major block of `k = ys.len()` rows in
+/// row order, gathering each row at stride `k` into one reused buffer of
+/// `nf` values and handing it to `visit` with its index and runtime. Stops
+/// at (and returns) the first error `visit` returns. Allocates the buffer
+/// only when there is a row to gather, so an empty range costs nothing.
+fn for_each_row(
+    xcols: &[f64],
+    nf: usize,
+    ys: &[f64],
+    from: usize,
+    mut visit: impl FnMut(usize, &[f64], f64) -> Result<()>,
+) -> Result<()> {
+    let k = ys.len();
+    if from >= k {
+        return Ok(());
+    }
+    let mut row = vec![0.0; nf];
+    for (r, &y) in ys.iter().enumerate().skip(from) {
+        for (f, dst) in row.iter_mut().enumerate() {
+            *dst = xcols[f * k + r];
+        }
+        visit(r, &row, y)?;
     }
     Ok(())
 }
@@ -237,28 +243,16 @@ impl ArmEstimator for LinearArm {
         // cost. Validation still runs per row in row order so a bad row
         // absorbs exactly the sequential prefix before erroring.
         *absorbed = 0;
-        let k = ys.len();
-        if xcols.len() != self.n_features * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: self.n_features,
-            });
-        }
-        let mut row = vec![0.0; self.n_features];
-        let mut failure = None;
-        for (r, &y) in ys.iter().enumerate() {
-            for (f, dst) in row.iter_mut().enumerate() {
-                *dst = xcols[f * k + r];
-            }
-            if let Err(e) = validate(&row, self.n_features, y) {
-                failure = Some(e);
-                break;
-            }
+        check_block(xcols, self.n_features, ys.len())?;
+        let failure = for_each_row(xcols, self.n_features, ys, 0, |r, row, y| {
+            validate(row, self.n_features, y)?;
             // lint: allow(no-panic) -- every row arity-checked before any push
-            self.design.push_row(&row).expect("validated arity");
+            self.design.push_row(row).expect("validated arity");
             self.ys.push(y);
             *absorbed = r + 1;
-        }
+            Ok(())
+        })
+        .err();
         if *absorbed > 0 {
             self.current = fit_ols(&self.design, &self.ys)?;
         }
@@ -383,15 +377,9 @@ impl ArmEstimator for RecursiveArm {
         // sequential loop is the reference for which prefix lands before
         // the error.
         *absorbed = 0;
-        let k = ys.len();
         let nf = self.acc.n_features();
-        if xcols.len() != nf * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: nf,
-            });
-        }
-        if k == 0 {
+        check_block(xcols, nf, ys.len())?;
+        if ys.is_empty() {
             return Ok(());
         }
         let fast =
@@ -399,15 +387,11 @@ impl ArmEstimator for RecursiveArm {
         if !fast {
             // Cold / invalid-input path (never the steady-state loop): row
             // gathers through `update`, the reference semantics.
-            let mut row = vec![0.0; nf];
-            for (r, &y) in ys.iter().enumerate() {
-                for (f, dst) in row.iter_mut().enumerate() {
-                    *dst = xcols[f * k + r];
-                }
-                self.update(&row, y)?;
+            return for_each_row(xcols, nf, ys, 0, |r, row, y| {
+                self.update(row, y)?;
                 *absorbed = r + 1;
-            }
-            return Ok(());
+                Ok(())
+            });
         }
         let folded = self.acc.push_block(xcols, ys)?;
         *absorbed = folded;
@@ -415,59 +399,12 @@ impl ArmEstimator for RecursiveArm {
         // A mid-block cholupdate failure (not reachable for rank-1 adds,
         // but contractually handled): the solve above re-factorized exactly
         // where the sequential path would have; finish the remainder row by
-        // row.
-        for r in folded..k {
-            let mut row = vec![0.0; nf];
-            for (f, dst) in row.iter_mut().enumerate() {
-                *dst = xcols[f * k + r];
-            }
-            self.update(&row, ys[r])?;
+        // row. The steady state has `folded == k` and gathers nothing.
+        for_each_row(xcols, nf, ys, folded, |r, row, y| {
+            self.update(row, y)?;
             *absorbed = r + 1;
-        }
-        Ok(())
-    }
-
-    fn absorb_block_staged(
-        &mut self,
-        xcols: &[f64],
-        xrows: &[f64],
-        ys: &[f64],
-        absorbed: &mut usize,
-    ) -> Result<()> {
-        // Same structure as `absorb_block` above, but every per-row access
-        // — the cholupdate sweep inside `push_block_staged`, the cold
-        // path, the post-failure remainder — reads the contiguous row
-        // staging instead of gathering at stride k. Identical values in
-        // identical order, so the bitwise contract carries over.
-        *absorbed = 0;
-        let k = ys.len();
-        let nf = self.acc.n_features();
-        if xcols.len() != nf * k || xrows.len() != nf * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: nf,
-            });
-        }
-        if k == 0 {
-            return Ok(());
-        }
-        let fast =
-            self.acc.factor_is_live(self.ridge) && ys.iter().all(|&y| y.is_finite() && y > 0.0);
-        if !fast {
-            for (r, &y) in ys.iter().enumerate() {
-                self.update(&xrows[r * nf..(r + 1) * nf], y)?;
-                *absorbed = r + 1;
-            }
-            return Ok(());
-        }
-        let folded = self.acc.push_block_staged(xcols, xrows, ys)?;
-        *absorbed = folded;
-        self.acc.solve_into(self.ridge, &mut self.scratch, &mut self.current)?;
-        for r in folded..k {
-            self.update(&xrows[r * nf..(r + 1) * nf], ys[r])?;
-            *absorbed = r + 1;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     fn fit(&self) -> LinearFit {
@@ -605,16 +542,6 @@ impl ArmEstimator for Box<dyn ArmEstimator> {
 
     fn absorb_block(&mut self, xcols: &[f64], ys: &[f64], absorbed: &mut usize) -> Result<()> {
         self.as_mut().absorb_block(xcols, ys, absorbed)
-    }
-
-    fn absorb_block_staged(
-        &mut self,
-        xcols: &[f64],
-        xrows: &[f64],
-        ys: &[f64],
-        absorbed: &mut usize,
-    ) -> Result<()> {
-        self.as_mut().absorb_block_staged(xcols, xrows, ys, absorbed)
     }
 
     fn fit(&self) -> LinearFit {

@@ -77,10 +77,6 @@ pub struct DecayingEpsilonGreedy<A: ArmEstimator> {
     group_cursor: Vec<usize>,
     group_rows: Vec<u32>,
     block_cols: Vec<f64>,
-    /// Row-major staging of the same per-arm block: the cholupdate sweep
-    /// walks whole rows, so it reads these contiguously instead of
-    /// gathering `block_cols` at stride k.
-    block_rows: Vec<f64>,
     block_ys: Vec<f64>,
 }
 
@@ -144,7 +140,6 @@ impl<A: ArmEstimator> DecayingEpsilonGreedy<A> {
             group_cursor: Vec::new(),
             group_rows: Vec::new(),
             block_cols: Vec::new(),
-            block_rows: Vec::new(),
             block_ys: Vec::new(),
         })
     }
@@ -329,7 +324,6 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             group_cursor,
             group_rows,
             block_cols,
-            block_rows,
             block_ys,
             ..
         } = self;
@@ -361,28 +355,24 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             if grp.is_empty() {
                 continue;
             }
-            // Gather this arm's rows into contiguous feature-major AND
-            // row-major blocks in one pass per feature column, streaming
-            // the frame's contiguous column storage. The Gram fold streams
-            // the columns; the cholupdate sweep reads unstrided rows from
-            // the staging — both layouts for one gather's worth of reads.
+            // Gather this arm's rows into one contiguous feature-major
+            // block, one pass per feature column, streaming the frame's
+            // contiguous column storage — the layout `absorb_block` (and
+            // the Gram fold behind it) reads directly.
             let k = grp.len();
             block_cols.clear();
             block_cols.resize(nf * k, 0.0);
-            block_rows.clear();
-            block_rows.resize(nf * k, 0.0);
             for f in 0..nf {
                 let col = frame.features().column(f);
-                for (i, &r) in grp.iter().enumerate() {
-                    let v = col[r as usize];
-                    block_cols[f * k + i] = v;
-                    block_rows[i * nf + f] = v;
+                let dst = &mut block_cols[f * k..(f + 1) * k];
+                for (d, &r) in dst.iter_mut().zip(grp) {
+                    *d = col[r as usize];
                 }
             }
             block_ys.clear();
             block_ys.extend(grp.iter().map(|&r| frame.outcome(r as usize)));
             let mut sub = 0;
-            let res = arm.absorb_block_staged(block_cols, block_rows, block_ys, &mut sub);
+            let res = arm.absorb_block(block_cols, block_ys, &mut sub);
             for &r in &grp[..sub] {
                 absorbed[r as usize] = true;
             }

@@ -11,14 +11,14 @@
 //! identically seeded twins, across bursts whose sizes and feature widths
 //! cover the 4-lane block tails:
 //!
-//! * ε-greedy and LinUCB: the reference is a loop of [`Policy::select`] /
-//!   [`Policy::observe`] calls;
+//! * ε-greedy (incremental and paper-exact arms) and LinUCB: the reference
+//!   is a loop of [`Policy::select`] / [`Policy::observe`] calls;
 //! * [`banditware_core::ScaledPolicy`]: the reference is built from public
 //!   parts — a [`StandardScaler`] fed every context of the burst, then
 //!   `transform_into` per context and `select` on an unwrapped inner
 //!   ε-greedy (a burst is standardized against its post-burst statistics).
 
-use banditware_core::epsilon::EpsilonGreedy;
+use banditware_core::epsilon::{EpsilonGreedy, ExactEpsilonGreedy};
 use banditware_core::linucb::LinUcb;
 use banditware_core::scaler::scaled_epsilon_greedy;
 use banditware_core::{
@@ -161,6 +161,17 @@ fn policy_frame_path_matches<P: Policy>(mut reference: impl Sequential, mut fram
 #[test]
 fn epsilon_frame_path_matches_sequential_rounds() {
     let mk = || EpsilonGreedy::new(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap();
+    policy_frame_path_matches(OneAtATime(mk()), mk(), M);
+}
+
+/// The paper-exact arm (`exact-epsilon-greedy` over the wire): its
+/// `observe_frame` hands each arm's gathered block to
+/// `LinearArm::absorb_block`, which appends every row and refits once.
+#[test]
+fn exact_epsilon_frame_path_matches_sequential_rounds() {
+    let mk = || {
+        ExactEpsilonGreedy::new_exact(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap()
+    };
     policy_frame_path_matches(OneAtATime(mk()), mk(), M);
 }
 

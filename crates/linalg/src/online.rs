@@ -354,54 +354,6 @@ impl NormalEquations {
         Ok(rows)
     }
 
-    /// [`NormalEquations::push_block`] with a caller-staged **row-major**
-    /// copy of the same block: `xrows[r·nf .. (r+1)·nf]` is row `r`. The
-    /// Gram fold still streams the feature-major `xcols` (its kernels are
-    /// column-striped), but the per-row cholupdate sweep — which touches
-    /// every feature of one row at a time — fills its augmented row with a
-    /// single contiguous `copy_from_slice` instead of a stride-`k` gather.
-    /// Same values, same arithmetic, same order: the result is bit-for-bit
-    /// identical to [`NormalEquations::push_block`]; only the memory access
-    /// pattern of the factor sweep changes.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] if either layout's length is not
-    /// `n_features·k` (the accumulator is untouched in that case).
-    pub fn push_block_staged(&mut self, xcols: &[f64], xrows: &[f64], ys: &[f64]) -> Result<usize> {
-        let k = ys.len();
-        let nf = self.dim - 1;
-        if xcols.len() != nf * k || xrows.len() != nf * k {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "push_block_staged: {} column / {} row values for {} rows of {} features",
-                xcols.len(),
-                xrows.len(),
-                k,
-                nf
-            )));
-        }
-        if k == 0 {
-            return Ok(0);
-        }
-        // Phase 1 — factor maintenance, per row, reading unstrided rows.
-        let mut rows = k;
-        if self.factor.is_some() {
-            for r in 0..k {
-                self.aug[0] = 1.0;
-                self.aug[1..].copy_from_slice(&xrows[r * nf..(r + 1) * nf]);
-                // lint: allow(no-panic) -- factor live until a failed update breaks the loop
-                let fac = self.factor.as_mut().expect("live until a failed update breaks");
-                if fac.chol.update(&self.aug).is_err() {
-                    self.factor = None;
-                    rows = r + 1;
-                    break;
-                }
-            }
-        }
-        // Phase 2 — fold statistics for rows 0..rows.
-        self.fold_stats_block(xcols, ys, k, rows);
-        Ok(rows)
-    }
-
     /// The statistics half of [`NormalEquations::push_block`]: fold the
     /// first `rows` of a `k`-row feature-major block into `ZᵀZ` (upper
     /// triangle), `Zᵀy`, `Σy²`, and the count, preserving `push`'s per-entry
@@ -1172,47 +1124,6 @@ mod tests {
         assert_eq!(blk.push_block(&[], &[]).unwrap(), 0);
         assert!(blk.push_block(&cols[..3], &ys).is_err());
         assert_eq!(blk.to_state(), before);
-    }
-
-    #[test]
-    fn push_block_staged_bitwise_matches_push_block() {
-        let data = sample_data();
-        let nf = 2;
-        let (cols, ys) = to_cols(&data, nf);
-        let mut rows = vec![0.0; nf * data.len()];
-        for (r, (x, _)) in data.iter().enumerate() {
-            rows[r * nf..(r + 1) * nf].copy_from_slice(x);
-        }
-
-        // Cold, then warm with a live factor — the staged sweep must leave
-        // both statistics and factor bitwise where the strided sweep does.
-        let mut strided = NormalEquations::new(nf);
-        let mut staged = NormalEquations::new(nf);
-        assert_eq!(strided.push_block(&cols, &ys).unwrap(), data.len());
-        assert_eq!(staged.push_block_staged(&cols, &rows, &ys).unwrap(), data.len());
-        assert_eq!(strided.to_state(), staged.to_state());
-
-        let mut scratch = SolveScratch::new();
-        let mut out_a = LinearFit::zeros(nf);
-        let mut out_b = LinearFit::zeros(nf);
-        strided.solve_into(0.25, &mut scratch, &mut out_a).unwrap();
-        staged.solve_into(0.25, &mut scratch, &mut out_b).unwrap();
-        assert!(staged.factor_is_live(0.25));
-        assert_eq!(strided.push_block(&cols, &ys).unwrap(), data.len());
-        assert_eq!(staged.push_block_staged(&cols, &rows, &ys).unwrap(), data.len());
-        assert_eq!(strided.to_state(), staged.to_state());
-        // The factor-backed solve is the factor's observable output.
-        strided.solve_into(0.25, &mut scratch, &mut out_a).unwrap();
-        staged.solve_into(0.25, &mut scratch, &mut out_b).unwrap();
-        for (a, b) in out_a.weights.iter().zip(&out_b.weights) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(out_a.intercept.to_bits(), out_b.intercept.to_bits());
-
-        // Mismatched row staging is rejected untouched.
-        let before = staged.to_state();
-        assert!(staged.push_block_staged(&cols, &rows[..3], &ys).is_err());
-        assert_eq!(staged.to_state(), before);
     }
 
     #[test]

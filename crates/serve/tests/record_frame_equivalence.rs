@@ -12,9 +12,7 @@
 //! ε-greedy and LinUCB.
 
 use banditware_core::scaler::scaled_epsilon_greedy;
-use banditware_core::{
-    ArmEstimator, ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, RecursiveArm, Ticket,
-};
+use banditware_core::{ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, Ticket};
 use banditware_serve::{DurableEngine, Engine, EngineBuilder, WalOptions};
 use std::path::{Path, PathBuf};
 
@@ -164,44 +162,6 @@ fn record_frame_matches_rows_across_feature_widths() {
             BanditWare::new(policy, specs())
         };
         record_frame_matches_rows(mk(), mk(), m);
-    }
-}
-
-/// PR 9 kernel follow-up: the row-major staging variant of the grouped
-/// absorption (`absorb_block_staged`, whose cholupdate sweep reads
-/// contiguous rows) leaves the estimator bit-for-bit where the original
-/// stride-k gather (`absorb_block`) does — cold, warm-with-live-factor,
-/// and across block tails.
-#[test]
-fn staged_absorption_bitwise_matches_strided_gather() {
-    for m in [1usize, 3, 4, 7, 8] {
-        let mut strided = RecursiveArm::new(m);
-        let mut staged = RecursiveArm::new(m);
-        let probe: Vec<f64> = (0..m).map(|j| 0.75 * j as f64 - 1.0).collect();
-        for (round, &k) in BURSTS.iter().enumerate() {
-            let block: Vec<Vec<f64>> = (0..k).map(|r| context(round, r, m)).collect();
-            let ys: Vec<f64> = block.iter().map(|x| runtime(round % 3, x)).collect();
-            let mut cols = vec![0.0; m * k];
-            let mut rows = vec![0.0; m * k];
-            for (r, x) in block.iter().enumerate() {
-                rows[r * m..(r + 1) * m].copy_from_slice(x);
-                for (f, &v) in x.iter().enumerate() {
-                    cols[f * k + r] = v;
-                }
-            }
-            let (mut a, mut b) = (0, 0);
-            strided.absorb_block(&cols, &ys, &mut a).unwrap();
-            staged.absorb_block_staged(&cols, &rows, &ys, &mut b).unwrap();
-            assert_eq!(a, b, "m={m} round {round}: absorbed counts");
-            assert_eq!(strided.state(), staged.state(), "m={m} round {round}: arm state");
-            if k > 0 {
-                assert_eq!(
-                    strided.predict(&probe).to_bits(),
-                    staged.predict(&probe).to_bits(),
-                    "m={m} round {round}: prediction bits"
-                );
-            }
-        }
     }
 }
 
